@@ -10,6 +10,11 @@ serves a block the victim already has.  The original request is remembered
 and, shortly before the victim's 20-minute patience runs out, smuggled back
 inside an unrelated transaction request, so the block arrives late but the
 connection survives.
+
+Tampering works on protocol message objects, never on wire frames.  Each
+edit is one the byte-level reference in `wire` can make in flight: a
+swapped or restored request keeps its frame length and a valid checksum,
+and a corrupted block fails its checksum and is dropped by the recipient.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 
 from . import topology as tp
 from . import wire
-from .protocol import GENESIS, BlockMsg, InvMsg
+from .protocol import GENESIS, BlockMsg, GetDataMsg, InvMsg, block_to_payload
 
 
 @dataclass
@@ -130,11 +135,16 @@ class _Stash:
     expires: float  # swap time + restore_margin; no restore after this
 
 
-def _first_item(frame_inventory, inv_type):
-    for i, (t, h) in enumerate(frame_inventory):
+def _first_item(items, inv_type):
+    for i, (t, h) in enumerate(items):
         if t == inv_type:
             return i, h
     return None, None
+
+
+def _with_item(msg: GetDataMsg, i: int, item: tuple[int, bytes]) -> GetDataMsg:
+    """A copy of `msg` with inventory item i replaced; `msg` itself is left alone."""
+    return GetDataMsg(msg.items[:i] + [item] + msg.items[i + 1 :])
 
 
 @dataclass
@@ -187,7 +197,7 @@ class DelayAttacker:
             self._stash.pop((a, b), None)
             self._stash.pop((b, a), None)
 
-    # ---- frame selection ----
+    # ---- message selection ----
 
     def _crosses_coalition(self, src: str, dst: str) -> bool:
         key = (self.topo.nodes[src].home_as, self.topo.nodes[dst].home_as)
@@ -203,54 +213,54 @@ class DelayAttacker:
 
     def intercepts(self, src: str, dst: str) -> bool:
         if self.mode == "network":
-            if self.topo.group_of(src) is not None and self.topo.group_of(
-                src
-            ) == self.topo.group_of(dst):
+            if dst in self.topo.fabric_of(src):
                 return False  # private pool fabric, not routed over the open net
             return self._crosses_coalition(src, dst)
         if self.direction == "outgoing":
             return src == self.victim and dst in self.intercepted
         return dst == self.victim and src in self.intercepted
 
-    # ---- frame tampering ----
+    # ---- message tampering ----
 
-    def transform(self, src: str, dst: str, frame: bytes, now: float) -> bytes:
-        """Rewrite one intercepted frame; always length-preserving."""
-        parsed = wire.parse(frame)
+    def transform(self, src: str, dst: str, msg, now: float):
+        """Tamper with one intercepted message; untouched messages come back as is.
+
+        An edit returns a new object and never mutates `msg`: the sender may
+        hand the same message to every peer.
+        """
         if self.mode == "node" and self.direction == "incoming":
-            if parsed.command == "block":
+            if isinstance(msg, BlockMsg):
                 self.corruptions += 1
-                return wire.corrupt_block(frame, self.rng)
-            return frame
-        if parsed.command != "getdata":
-            return frame
-        return self._tamper_getdata(src, dst, frame, parsed, now)
+                # the draws wire.corrupt_block makes, so self.rng stays in step
+                self.rng.randrange(len(block_to_payload(msg.block)))
+                self.rng.randrange(255)
+                return BlockMsg(GENESIS, valid=False)
+            return msg
+        if not isinstance(msg, GetDataMsg):
+            return msg
+        return self._tamper_getdata(src, dst, msg, now)
 
-    def _tamper_getdata(self, src, dst, frame, parsed, now) -> bytes:
+    def _tamper_getdata(self, src, dst, msg, now):
         key = (src, dst)
         stash = self._stash.get(key)
         if stash is not None and now >= stash.expires:
             self._stash.pop(key, None)
             stash = None
-        idx, block_hash = _first_item(parsed.inventory, wire.INV_BLOCK)
+        idx, block_hash = _first_item(msg.items, wire.INV_BLOCK)
         if block_hash is not None and block_hash != GENESIS.hash:
             if self.mode == "node" and stash is not None:
                 # one tampered retrieval per connection at a time: while a
                 # swap is pending, further block requests pass untouched
-                return frame
-            rewritten = wire.rewrite_getdata_hash(frame, block_hash, GENESIS.hash)
+                return msg
             self.rewrites += 1
             if self.mode == "node":
                 self._stash[key] = _Stash(block_hash, expires=now + self.restore_margin)
-            return rewritten  # network mode never stashes: it never restores
+            # network mode never stashes: it never restores
+            return _with_item(msg, idx, (wire.INV_BLOCK, GENESIS.hash))
         if self.mode == "node" and stash is not None:
-            tx_idx, _ = _first_item(parsed.inventory, wire.INV_TX)
+            tx_idx, _ = _first_item(msg.items, wire.INV_TX)
             if tx_idx is not None:
-                items = list(parsed.inventory)
-                items[tx_idx] = (wire.INV_BLOCK, stash.block_hash)
-                restored = wire.serialize_inventory("getdata", items)
-                assert len(restored) == len(frame)
                 self._stash.pop(key, None)
                 self.restores += 1
-                return restored
-        return frame
+                return _with_item(msg, tx_idx, (wire.INV_BLOCK, stash.block_hash))
+        return msg

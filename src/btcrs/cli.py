@@ -64,6 +64,9 @@ def _parse_overrides(pairs: list[str]) -> dict:
             overrides[key] = json.loads(value)
         except json.JSONDecodeError:
             overrides[key] = value
+        problem = tp.param_problem(key, overrides[key])
+        if problem is not None:
+            raise _CliError(USAGE_ERR, f"bad --set {pair!r}: params.{key} {problem}")
     return overrides
 
 

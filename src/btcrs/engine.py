@@ -113,13 +113,6 @@ class Simulation:
         if self.params.blocks == 0 and end_time is None:
             self.horizon = self.params.drain_time
 
-        # pool fabric: gateways of privately peered pools form instant cliques
-        self._clique: dict[str, frozenset] = {}
-        for group in topo.pool_groups():
-            gws = frozenset(g for p in group for g in topo.pools[p].gateways)
-            for g in gws:
-                self._clique[g] = gws
-
         self.partition_attacker: PartitionAttacker | None = None
         self._coverage: tp.Coverage | None = None
         self._perfect_side: set[str] | None = None
@@ -138,9 +131,6 @@ class Simulation:
         self._push(when, "control", fn)
 
     # ---- connections ----
-
-    def _same_fabric(self, a: str, b: str) -> bool:
-        return b in self._clique.get(a, ())
 
     def _routable(self, a: str, b: str) -> bool:
         pa, pb = self.topo.nodes[a].home_as, self.topo.nodes[b].home_as
@@ -212,10 +202,10 @@ class Simulation:
                 self._dial(b, exclude=frozenset({a}))
 
     def _setup_connections(self) -> None:
-        for group in self.topo.pool_groups():
-            gws = sorted(g for p in group for g in self.topo.pools[p].gateways)
-            for i, a in enumerate(gws):
-                for b in gws[i + 1 :]:
+        # gateways of privately peered pools form instant cliques
+        for a in self._node_order:
+            for b in sorted(self.topo.fabric_of(a)):
+                if a < b:
                     self._connect(a, b, "clique")
         if self.params.connections is not None:
             for a, b in self.params.connections:
@@ -332,7 +322,7 @@ class Simulation:
     def _send(self, src: str, dst: str, msg) -> None:
         if dst not in self.nodes[src].peers:
             return
-        if self._same_fabric(src, dst):
+        if dst in self.topo.fabric_of(src):
             self._push(self.now, "deliver", (src, dst, msg))
             return
         src_as = self.topo.nodes[src].home_as
@@ -341,7 +331,7 @@ class Simulation:
             if not self.partition_attacker.tick(src, dst, msg, self.now):
                 return
         if self.delay_attacker is not None and self.delay_attacker.intercepts(src, dst):
-            msg = pr.from_wire(self.delay_attacker.transform(src, dst, pr.to_wire(msg), self.now))
+            msg = self.delay_attacker.transform(src, dst, msg, self.now)
         if src_as == dst_as:
             hops = 1
         else:
@@ -433,7 +423,7 @@ class Simulation:
                 self._dial(peer, exclude=frozenset({nid}))
         node.pending.clear()
         node.advertisers.clear()
-        for g in sorted(self._clique.get(nid, ())):
+        for g in sorted(self.topo.fabric_of(nid)):
             if g != nid and g not in node.peers:
                 self._connect(nid, g, "clique")
         for _ in range(self.params.outgoing_target):

@@ -24,29 +24,22 @@ def uninformed_fraction(victim_series, reference_series, until: float) -> float:
     """
     if until <= 0:
         return 0.0
-    points = sorted(
-        {t for t, _ in victim_series if t <= until}
-        | {t for t, _ in reference_series if t <= until}
-        | {until}
-    )
-
-    def stepper(series):
-        series = [p for p in series if p[0] <= until]
-
-        def at(t, _pos=[0], _val=[0]):
-            while _pos[0] < len(series) and series[_pos[0]][0] <= t:
-                _val[0] = series[_pos[0]][1]
-                _pos[0] += 1
-            return _val[0]
-
-        return at
-
-    v_at, r_at = stepper(victim_series), stepper(reference_series)
+    victim = [p for p in victim_series if p[0] <= until]
+    reference = [p for p in reference_series if p[0] <= until]
+    points = sorted({t for t, _ in victim} | {t for t, _ in reference} | {until})
     lag = 0.0
+    i = j = v_height = r_height = 0
     for a, b in zip(points, points[1:]):
-        if v_at(a) < r_at(a):
+        while i < len(victim) and victim[i][0] <= a:
+            v_height = victim[i][1]
+            i += 1
+        while j < len(reference) and reference[j][0] <= a:
+            r_height = reference[j][1]
+            j += 1
+        if v_height < r_height:
             lag += b - a
-    return lag / until
+    # lag is never negative, but its float widths can sum past `until`
+    return min(lag / until, 1.0)
 
 
 def p50_propagation(run) -> tuple[float | None, bool]:

@@ -12,9 +12,12 @@ from __future__ import annotations
 import hashlib
 import ipaddress
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
+
+_NO_FABRIC: frozenset[str] = frozenset()  # the fabric of a node in no pool
 
 
 class ScenarioError(ValueError):
@@ -175,6 +178,15 @@ class Topology:
         for pool in self.pools.values():
             for g in pool.gateways:
                 self._pool_of[g] = pool.pool_id
+        # pool fabric: the gateways of privately peered pools, keyed by gateway
+        self._group_of: dict[str, frozenset[str]] = {}
+        self._fabric_of: dict[str, frozenset[str]] = {}
+        for group in self.pool_groups():
+            pools = frozenset(group)
+            gateways = frozenset(g for p in group for g in self.pools[p].gateways)
+            for g in gateways:
+                self._group_of[g] = pools
+                self._fabric_of[g] = gateways
 
     # -- node / pool helpers -------------------------------------------------
 
@@ -214,13 +226,11 @@ class Topology:
         return sorted(groups.values(), key=lambda g: min(g))
 
     def group_of(self, node_id: str) -> frozenset[str] | None:
-        pool = self.pool_of(node_id)
-        if pool is None:
-            return None
-        for group in self.pool_groups():
-            if pool in group:
-                return frozenset(group)
-        return None
+        return self._group_of.get(node_id)
+
+    def fabric_of(self, node_id: str) -> frozenset[str]:
+        """Gateways on node_id's private pool fabric: instant, and invisible to attackers."""
+        return self._fabric_of.get(node_id, _NO_FABRIC)
 
     def nodes_in_as(self, as_id: int) -> list[str]:
         return [n for n, pl in self.nodes.items() if pl.home_as == as_id]
@@ -387,6 +397,27 @@ KNOWN_PARAMS = {
     "connections",
 }
 
+# numeric floors: (bound, bound itself allowed).  A zero block interval is
+# divided by; a negative latency makes simulated time run backwards.
+_PARAM_FLOORS = {
+    "block_interval_mean": (0.0, False),
+    "per_hop_delay": (0.0, True),
+    "base_delay": (0.0, True),
+}
+
+
+def param_problem(key: str, value) -> str | None:
+    """Why `value` is out of range for simulation parameter `key`, or None if it is fine."""
+    floor = _PARAM_FLOORS.get(key)
+    if floor is None:
+        return None
+    bound, inclusive = floor
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        return f"must be a finite number, got {value!r}"
+    if value < bound or (value == bound and not inclusive):
+        return f"must be {'>=' if inclusive else '>'} {bound:g}, got {value!r}"
+    return None
+
 
 def load_topology(path: str | Path | dict) -> Topology:
     """Parse and validate a scenario file (UTF-8 JSON).
@@ -515,8 +546,10 @@ def load_topology(path: str | Path | dict) -> Topology:
             _require(other != pool.pool_id, "pools", f"{pool.pool_id!r} privately peers with itself")
 
     params = dict(raw.get("params", {}))
-    for key in params:
+    for key, value in params.items():
         _require(key in KNOWN_PARAMS, f"params.{key}", "unknown parameter")
+        problem = param_problem(key, value)
+        _require(problem is None, f"params.{key}", problem)
     residual = params.get("residual_share")
     n_regular = len(nodes) - len(taken)
     if residual is not None:

@@ -4,6 +4,9 @@ A frame is `magic | command(12) | length(u32 LE) | checksum(4) | payload`.
 The checksum is the first four bytes of SHA256(SHA256(payload)).  Only
 ``inv``/``getdata`` payloads (inventory vectors) and our block payloads are
 interpreted; every other command is carried opaquely.
+
+This is the byte-level reference: the simulator itself tampers with message
+objects, and the tests hold those edits equal to the frame edits here.
 """
 
 from __future__ import annotations
@@ -126,9 +129,11 @@ def rewrite_getdata_hash(frame: bytes, old_hash: bytes, new_hash: bytes) -> byte
         raise WireError(f"not a getdata frame: {msg.command}")
     if len(new_hash) != 32:
         raise WireError("replacement hash must be 32 bytes")
-    idx = msg.payload.find(old_hash)
-    if idx < 0:
-        raise WireError("hash not present in frame")
+    # search the hash slots only: a match straddling a type field must not count
+    i = next((i for i, (_, h) in enumerate(msg.inventory) if h == old_hash), None)
+    if i is None:
+        raise WireError("hash not present in the frame's inventory")
+    idx = len(encode_varint(len(msg.inventory))) + 36 * i + 4
     payload = msg.payload[:idx] + new_hash + msg.payload[idx + 32 :]
     out = frame[:20] + checksum(payload) + payload
     assert len(out) == len(frame)

@@ -1,6 +1,11 @@
 """Attacker logic: partition filtering/leak detection and delay tampering."""
 
+import copy
 import hashlib
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btcrs import adversary as adv
 from btcrs import protocol as pr
@@ -117,10 +122,9 @@ class Pipe:
         self.disconnects = []  # (who, peer, time)
 
     def _deliver(self, src_node, dst_node, msg, now):
-        frame = pr.to_wire(msg)
+        msg = pr.from_wire(pr.to_wire(msg))  # every message still crosses the codec
         if self.attacker.intercepts(src_node.node_id, dst_node.node_id):
-            frame = self.attacker.transform(src_node.node_id, dst_node.node_id, frame, now)
-        msg = pr.from_wire(frame)
+            msg = self.attacker.transform(src_node.node_id, dst_node.node_id, msg, now)
         if isinstance(msg, pr.InvMsg):
             acts = dst_node.on_inv(src_node.node_id, msg, now)
         elif isinstance(msg, pr.GetDataMsg):
@@ -255,13 +259,12 @@ def test_network_mode_follows_as_paths_and_spares_pool_fabric():
     assert a.intercepts("K", "A")  # traffic from AS3 itself is on-path
     assert not a.intercepts("I", "F")  # red pool fabric, despite the AS7 path
     b = pr.make_block(G, "m", 0, 5.0)
-    frame = pr.to_wire(pr.GetDataMsg([(wire.INV_BLOCK, b.hash)]))
-    out = a.transform("A", "H", frame, 5.0)
-    items = pr.from_wire(out).items
-    assert items == [(wire.INV_BLOCK, G.hash)]
+    request = pr.GetDataMsg([(wire.INV_BLOCK, b.hash)])
+    assert a.transform("A", "H", request, 5.0) == pr.GetDataMsg([(wire.INV_BLOCK, G.hash)])
+    assert request.items == [(wire.INV_BLOCK, b.hash)]  # the sender's object is not edited
     assert a._stash == {}  # network mode never intends to give the block back
-    tx = pr.to_wire(pr.GetDataMsg([(wire.INV_TX, bytes(32))]))
-    assert a.transform("A", "H", tx, 900.0) == tx
+    tx = pr.GetDataMsg([(wire.INV_TX, bytes(32))])
+    assert a.transform("A", "H", tx, 900.0) is tx
 
 
 def test_non_getdata_frames_pass_untouched_in_outgoing_mode():
@@ -269,5 +272,99 @@ def test_non_getdata_frames_pass_untouched_in_outgoing_mode():
     a.on_connect("v", "p")
     b = pr.make_block(G, "m", 0, 5.0)
     for msg in (pr.InvMsg([(wire.INV_BLOCK, b.hash)]), pr.BlockMsg(b)):
+        assert a.transform("v", "p", msg, 5.0) is msg
+
+
+# ------------------------------------------------ object vs frame tampering --
+
+
+def _first(inventory, inv_type):
+    return next(((i, h) for i, (t, h) in enumerate(inventory) if t == inv_type), (None, None))
+
+
+class FrameDelayAttacker(adv.DelayAttacker):
+    """The byte-level tamperer: parses, rewrites and corrupts whole wire frames.
+
+    This is the reference the message-object `transform` must agree with.
+    """
+
+    def transform(self, src, dst, frame, now):
+        parsed = wire.parse(frame)
+        if self.mode == "node" and self.direction == "incoming":
+            if parsed.command == "block":
+                self.corruptions += 1
+                return wire.corrupt_block(frame, self.rng)
+            return frame
+        if parsed.command != "getdata":
+            return frame
+        key = (src, dst)
+        stash = self._stash.get(key)
+        if stash is not None and now >= stash.expires:
+            self._stash.pop(key, None)
+            stash = None
+        _, block_hash = _first(parsed.inventory, wire.INV_BLOCK)
+        if block_hash is not None and block_hash != G.hash:
+            if self.mode == "node" and stash is not None:
+                return frame
+            self.rewrites += 1
+            if self.mode == "node":
+                self._stash[key] = adv._Stash(block_hash, expires=now + self.restore_margin)
+            return wire.rewrite_getdata_hash(frame, block_hash, G.hash)
+        if self.mode == "node" and stash is not None:
+            tx_idx, _ = _first(parsed.inventory, wire.INV_TX)
+            if tx_idx is not None:
+                items = list(parsed.inventory)
+                items[tx_idx] = (wire.INV_BLOCK, stash.block_hash)
+                self._stash.pop(key, None)
+                self.restores += 1
+                return wire.serialize_inventory("getdata", items)
+        return frame
+
+
+# hashes are unique within a message: the frame rewrite swaps the first slot
+# holding the hash, the object rewrite the first block item
+_inventory = st.lists(
+    st.tuples(st.sampled_from([wire.INV_TX, wire.INV_BLOCK]),
+              st.one_of(st.just(G.hash), st.binary(min_size=32, max_size=32))),
+    min_size=1, max_size=3, unique_by=lambda item: item[1],
+)
+_blocks = st.builds(lambda miner, idx, t: pr.make_block(G, miner, idx, t),
+                    st.sampled_from(["m", "pool-7", "\u00e9"]), st.integers(0, 10**6),
+                    st.floats(0.0, 1e6, allow_nan=False))
+_steps = st.lists(
+    st.tuples(
+        st.sampled_from([("v", "p"), ("v", "p"), ("v", "q"), ("p", "v")]),
+        st.floats(0.0, 120.0),
+        st.one_of(_inventory.map(pr.GetDataMsg), _inventory.map(pr.GetDataMsg), _inventory.map(pr.InvMsg),
+                  _blocks.map(pr.BlockMsg), st.just("disconnect")),
+    ),
+    max_size=40,
+)
+
+
+@pytest.mark.parametrize("mode,direction", [("network", "outgoing"), ("node", "outgoing"), ("node", "incoming")])
+@settings(max_examples=150, deadline=None)
+@given(steps=_steps, seed=st.integers(0, 2**32 - 1))
+def test_message_tampering_equals_frame_tampering(mode, direction, steps, seed):
+    kw = dict(mode=mode, direction=direction, victim="v", seed=seed)
+    attacker, ref = adv.DelayAttacker(**kw), FrameDelayAttacker(**kw)
+    now = 0.0
+    for (src, dst), dt, msg in steps:
+        now += dt
+        if msg == "disconnect":
+            attacker.on_disconnect(src, dst)
+            ref.on_disconnect(src, dst)
+            continue
+        sent = copy.deepcopy(msg)
         frame = pr.to_wire(msg)
-        assert a.transform("v", "p", frame, 5.0) == frame
+        out = ref.transform(src, dst, frame, now)
+        assert len(out) == len(frame)
+        got = attacker.transform(src, dst, msg, now)
+        assert got == pr.from_wire(out)
+        assert msg == sent  # the sender's object is never edited
+        if isinstance(msg, pr.BlockMsg) and direction == "incoming" and mode == "node":
+            assert got.valid is False
+    assert (attacker.rewrites, attacker.restores, attacker.corruptions) == (
+        ref.rewrites, ref.restores, ref.corruptions)
+    assert attacker._stash == ref._stash
+    assert attacker.rng.getstate() == ref.rng.getstate()

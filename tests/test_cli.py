@@ -50,6 +50,23 @@ def test_unknown_override_is_usage_error(capsys):
     assert "warp_speed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [("block_interval_mean", 0), ("per_hop_delay", -3),
+                                       ("base_delay", -0.5), ("base_delay", "NaN")])
+def test_out_of_range_scenario_param_is_scenario_error(tmp_path, capsys, key, value):
+    raw = json.loads(Path(PAPERLIKE).read_text())
+    raw["params"][key] = float(value) if value == "NaN" else value
+    bad = tmp_path / "bad.scn"
+    bad.write_text(json.dumps(raw))
+    assert run_cli("run", "--scenario", str(bad), "--seeds", "0") == 3
+    assert f"params.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pair", ["block_interval_mean=0", "per_hop_delay=-3", "base_delay=fast"])
+def test_out_of_range_override_is_usage_error(capsys, pair):
+    assert run_cli("run", "--scenario", PAPERLIKE, "--seeds", "0", "--set", pair) == 2
+    assert f"params.{pair.split('=')[0]}" in capsys.readouterr().err
+
+
 def test_bad_power_window_is_usage_error():
     assert run_cli("plan-partition", "--scenario", PAPERLIKE, "--power", "0.9") == 2
     assert run_cli("plan-partition", "--scenario", PAPERLIKE, "--power", "0.8:0.2") == 2

@@ -108,6 +108,14 @@ def test_rewrite_getdata_preserves_length_and_reparses():
                 assert msg.inventory[i] == entry
 
 
+def test_rewrite_touches_only_hash_slots():
+    # the zero hash also starts two bytes into the first item's type field
+    frame = wire.serialize_inventory("getdata", [(wire.INV_TX, bytes(32)), (wire.INV_BLOCK, bytes(32))])
+    msg = wire.parse(wire.rewrite_getdata_hash(frame, bytes(32), b"\x11" * 32))
+    assert msg.checksum_ok
+    assert msg.inventory == [(wire.INV_TX, b"\x11" * 32), (wire.INV_BLOCK, bytes(32))]
+
+
 def test_rewrite_rejects_missing_hash_and_non_getdata():
     frame = wire.serialize_inventory("getdata", [(wire.INV_BLOCK, bytes(32))])
     with pytest.raises(wire.WireError):
