@@ -26,29 +26,6 @@ SWEEP_INTERVAL = 60.0
 
 
 @dataclass
-class SimParams:
-    block_interval_mean: float = 600.0
-    blocks: int = 144
-    per_hop_delay: float = 1.0
-    base_delay: float = 0.05
-    tx_getdata_rate: float = 0.0
-    drain_time: float = 7200.0
-    threshold: float = 600.0
-    restore_margin: float = 300.0
-    convergence_delay: float = 90.0
-    outgoing_target: int = 8
-    max_connections: int = 125
-    residual_share: float | None = None
-    churn: dict | None = None
-    connections: list | None = None
-
-    @classmethod
-    def from_mapping(cls, mapping: dict) -> "SimParams":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in mapping.items() if k in known})
-
-
-@dataclass
 class MinedBlock:
     time: float
     block: pr.Block
@@ -60,7 +37,7 @@ class MinedBlock:
 class RunResult:
     seed: int
     config_digest: str
-    params: SimParams
+    params: tp.SimParams
     mined: list[MinedBlock]
     last_mine_time: float
     tip_series: dict[str, list[tuple[float, int]]]
@@ -87,7 +64,7 @@ class Simulation:
             merged.update(overrides)
         self.topo = topo
         self.seed = seed
-        self.params = SimParams.from_mapping(merged)
+        self.params = tp.SimParams.from_mapping(merged)
         self.now = 0.0
         self._heap: list = []
         self._seq = 0
@@ -469,6 +446,8 @@ class Simulation:
         self._schedule_initial()
         while self._heap:
             when, _, kind, payload = heapq.heappop(self._heap)
+            if when < self.now:
+                raise RuntimeError(f"simulated time ran backwards: {kind} event at {when} < {self.now}")
             if self.horizon is not None and when > self.horizon:
                 break
             self.now = when
@@ -529,10 +508,6 @@ def _map_tasks(fn, tasks: list[tuple]) -> list:
         return [fn(*t) for t in tasks]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, *zip(*tasks)))
-
-
-def run_seeds(raw: dict, seeds, overrides: dict | None = None, attack="scenario") -> list[RunResult]:
-    return _map_tasks(run_scenario, [(raw, s, overrides, attack) for s in seeds])
 
 
 # -- partition recovery ------------------------------------------------------------

@@ -196,11 +196,14 @@ def emit(reports, fmt: str = "json") -> bytes:
                 body["aggregates"]["prop_delay_p50_mean"] = statistics.mean(p50s)
         return (json.dumps(body, sort_keys=True, indent=2) + "\n").encode()
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["config", "seed", "metric", "value"])
-        for r in reports:
-            for config, seed, metric, value in r.rows():
-                writer.writerow([config, seed, metric, repr(value) if isinstance(value, float) else value])
-        return buf.getvalue().encode()
+        return csv_bytes(row for r in reports for row in r.rows())
     raise ValueError(f"unknown format: {fmt}")
+
+
+def csv_bytes(rows) -> bytes:
+    """(config, seed, metric, value) rows as CSV under a fixed header; a float is written as its repr."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["config", "seed", "metric", "value"])
+    writer.writerows(rows)
+    return buf.getvalue().encode()

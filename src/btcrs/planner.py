@@ -13,7 +13,7 @@ import ipaddress
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .topology import Topology
+from .topology import Topology, stealth_kind
 
 
 class PlanningError(ValueError):
@@ -22,58 +22,15 @@ class PlanningError(ValueError):
         self.violations = violations or []
 
 
-def _stealth_components(topo: Topology) -> list[set[str]]:
-    """Connected components of the stealth graph (AS and merged-pool cliques)."""
-    parent: dict[str, str] = {n: n for n in topo.nodes}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: str, b: str) -> None:
-        parent[find(a)] = find(b)
-
-    by_as: dict[int, list[str]] = {}
-    for n, pl in topo.nodes.items():
-        by_as.setdefault(pl.home_as, []).append(n)
-    for members in by_as.values():
-        for other in members[1:]:
-            union(members[0], other)
-    for group in topo.pool_groups():
-        gateways = [g for pid in sorted(group) for g in topo.pools[pid].gateways]
-        for other in gateways[1:]:
-            union(gateways[0], other)
-    comps: dict[str, set[str]] = {}
-    for n in topo.nodes:
-        comps.setdefault(find(n), set()).add(n)
-    return list(comps.values())
-
-
 def stealth_violations(topo: Topology, partition: set[str]) -> list[tuple[str, str, str]]:
     """Stealth edges crossing the boundary of `partition`, as (inside, outside, kind)."""
     violations = []
-    by_as: dict[int, list[str]] = {}
-    for n, pl in topo.nodes.items():
-        by_as.setdefault(pl.home_as, []).append(n)
-    for members in by_as.values():
-        ins = sorted(m for m in members if m in partition)
-        outs = sorted(m for m in members if m not in partition)
-        violations.extend((a, b, "intra-as") for a in ins for b in outs)
-    for group in topo.pool_groups():
-        gateways = [g for pid in sorted(group) for g in topo.pools[pid].gateways]
-        ins = sorted(g for g in gateways if g in partition)
-        outs = sorted(g for g in gateways if g not in partition)
-        same_pool = len(group) == 1
-        kind = "intra-pool" if same_pool else "pool-to-pool"
-        for a in ins:
-            for b in outs:
-                if topo.nodes[a].home_as == topo.nodes[b].home_as:
-                    continue  # already reported as intra-as
-                k = "intra-pool" if topo.pool_of(a) == topo.pool_of(b) else kind
-                violations.append((a, b, k))
-    return sorted(set(violations))
+    for a in sorted(partition):
+        for b in sorted(topo.stealth_component(a) - partition):
+            kind = stealth_kind(topo, a, b)
+            if kind is not None:
+                violations.append((a, b, kind))
+    return violations
 
 
 def is_feasible(topo: Topology, partition: set[str]) -> tuple[bool, list[tuple[str, str, str]]]:
@@ -91,11 +48,7 @@ def maximal_isolatable(topo: Topology, partition: set[str]) -> set[str]:
     (in any number of hops, through any intermediaries) would eventually act
     as a leakage point, so it is excluded; everything else can be kept.
     """
-    result = set(partition)
-    for comp in _stealth_components(topo):
-        if comp - partition:
-            result -= comp
-    return result
+    return {n for n in partition if topo.stealth_component(n) <= partition}
 
 
 # -- hijack planning ------------------------------------------------------------
@@ -238,27 +191,11 @@ def cover_nodes(topo: Topology, nodes) -> list[tuple[str, int]]:
 
 
 def _pool_units(topo: Topology) -> list[set[str]]:
-    """Pools forced together: private peerings plus gateway co-residency in an AS."""
-    groups = topo.pool_groups()
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                ases_i = {
-                    topo.nodes[g].home_as for p in groups[i] for g in topo.pools[p].gateways
-                }
-                ases_j = {
-                    topo.nodes[g].home_as for p in groups[j] for g in topo.pools[p].gateways
-                }
-                if ases_i & ases_j:
-                    groups[i] |= groups[j]
-                    del groups[j]
-                    merged = True
-                    break
-            if merged:
-                break
-    return sorted(groups, key=lambda g: min(g))
+    """Pools forced together: those whose gateways share a stealth component."""
+    units: dict[frozenset[str], set[str]] = {}
+    for pool in topo.pools.values():
+        units.setdefault(topo.stealth_component(pool.gateways[0]), set()).add(pool.pool_id)
+    return sorted(units.values(), key=min)
 
 
 def enumerate_power_partitions(

@@ -202,7 +202,6 @@ class Node:
         self.peers: dict[str, Conn] = {}
         self.pending: dict[bytes, Pending] = {}
         self.advertisers: dict[bytes, list[str]] = {}
-        self.disconnect_log: list[tuple[str, float, str]] = []
 
     @property
     def outgoing(self) -> set[str]:
@@ -287,7 +286,6 @@ class Node:
         slow = entry.peer
         actions: list = []
         if slow in self.peers:
-            self.disconnect_log.append((slow, now, "block request timed out"))
             actions.append(Disconnect(slow, "block request timed out"))
         for candidate in self.advertisers.get(h, []):
             if candidate != slow and candidate in self.peers:

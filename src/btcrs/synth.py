@@ -11,7 +11,6 @@ from __future__ import annotations
 import ipaddress
 import random
 
-from . import planner
 from . import topology as tp
 
 COUNTRIES = ["US", "DE", "CN", "FR", "RU", "BR"]
@@ -133,22 +132,15 @@ def random_partition_case(seed: int) -> dict:
     for pool in raw["pools"]:
         pool["hash_share"] = round(min(pool["hash_share"], 0.1), 3)
 
-    group_key = {n: (topo.group_of(n) or n) for n in node_ids}
-
     def monitored_partner_exists(p: str, members: set[str]) -> bool:
-        return any(
-            q != p
-            and topo.nodes[q].home_as != topo.nodes[p].home_as
-            and group_key[q] != group_key[p]
-            for q in members
-        )
+        return any(tp.stealth_kind(topo, p, q) is None for q in members)
 
     k = rng.randint(2, max(2, len(node_ids) // 2))
     partition = set(rng.sample(node_ids, k))
     if rng.random() < 0.5:
         # absorb whole stealth components so cleanly isolatable targets are
         # as common as hopeless ones
-        for comp in planner._stealth_components(topo):
+        for comp in dict.fromkeys(topo.stealth_component(n) for n in topo.nodes):
             if comp & partition and len(partition | comp) < len(node_ids):
                 partition |= comp
     outside_pool = [n for n in node_ids if n not in partition]
@@ -157,10 +149,7 @@ def random_partition_case(seed: int) -> dict:
     for p in sorted(partition):
         while not monitored_partner_exists(p, partition) and outside_pool:
             for i, cand in enumerate(outside_pool):
-                if (
-                    topo.nodes[cand].home_as != topo.nodes[p].home_as
-                    and group_key[cand] != group_key[p]
-                ):
+                if tp.stealth_kind(topo, p, cand) is None:
                     partition.add(outside_pool.pop(i))
                     break
             else:
@@ -222,13 +211,7 @@ def random_partition_case(seed: int) -> dict:
     # one observable in-partition connection per targeted node
     inside = sorted(partition)
     for p in inside:
-        partners = [
-            q
-            for q in inside
-            if q != p
-            and topo.nodes[q].home_as != topo.nodes[p].home_as
-            and group_key[q] != group_key[p]
-        ]
+        partners = [q for q in inside if tp.stealth_kind(topo, p, q) is None]
         if partners:
             connect(p, rng.choice(partners))
     # outside world: a connected random backbone

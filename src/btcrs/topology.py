@@ -9,12 +9,13 @@ next-hop AS id, so every function here is deterministic.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import ipaddress
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 _NO_FABRIC: frozenset[str] = frozenset()  # the fabric of a node in no pool
@@ -194,36 +195,13 @@ class Topology:
         return self._pool_of.get(node_id)
 
     @property
-    def gateway_ids(self) -> set[str]:
-        return set(self._pool_of)
-
-    @property
     def regular_ids(self) -> list[str]:
         return [n for n in self.nodes if n not in self._pool_of]
 
-    def residual_share(self) -> float:
-        declared = self.params.get("residual_share")
-        if declared is not None:
-            return float(declared)
-        return 1.0 - sum(p.hash_share for p in self.pools.values())
-
-    def pool_groups(self) -> list[set[str]]:
+    def pool_groups(self) -> list[frozenset[str]]:
         """Pools merged across private peerings (treated as one larger pool)."""
-        parent = {p: p for p in self.pools}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for pool in self.pools.values():
-            for other in pool.private_peers:
-                parent[find(pool.pool_id)] = find(other)
-        groups: dict[str, set[str]] = {}
-        for p in self.pools:
-            groups.setdefault(find(p), set()).add(p)
-        return sorted(groups.values(), key=lambda g: min(g))
+        cliques = [[p.pool_id, *p.private_peers] for p in self.pools.values()]
+        return sorted(_components(self.pools, cliques), key=min)
 
     def group_of(self, node_id: str) -> frozenset[str] | None:
         return self._group_of.get(node_id)
@@ -232,22 +210,55 @@ class Topology:
         """Gateways on node_id's private pool fabric: instant, and invisible to attackers."""
         return self._fabric_of.get(node_id, _NO_FABRIC)
 
-    def nodes_in_as(self, as_id: int) -> list[str]:
-        return [n for n, pl in self.nodes.items() if pl.home_as == as_id]
+    def stealth_component(self, node_id: str) -> frozenset[str]:
+        """Every node node_id reaches over stealth connections (see `stealth_kind`), itself included."""
+        return self._stealth_component[node_id]
 
-    def nodes_in_prefix(self, prefix: Prefix) -> list[str]:
-        return [n for n, pl in self.nodes.items() if pl.home_prefix == prefix]
+    @functools.cached_property
+    def _stealth_component(self) -> dict[str, frozenset[str]]:
+        # built on first use: only the planner and scenario generators need it
+        by_as: dict[int, list[str]] = {}
+        for n, pl in self.nodes.items():
+            by_as.setdefault(pl.home_as, []).append(n)
+        cliques = [*by_as.values(), *set(self._fabric_of.values())]
+        return {n: comp for comp in _components(self.nodes, cliques) for n in comp}
 
     def config_digest(self) -> str:
         blob = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _components(items, cliques) -> list[frozenset]:
+    """Connected components of `items` when each clique's members are all linked.
+
+    Components come in the order of their first member in `items`.
+    """
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for head, *rest in cliques:
+        for other in rest:
+            parent[find(other)] = find(head)
+    comps: dict = {}
+    for x in items:
+        comps.setdefault(find(x), set()).add(x)
+    return [frozenset(c) for c in comps.values()]
+
+
 # -- connection classification ------------------------------------------------
 
 
 def stealth_kind(topo: Topology, a: str, b: str) -> str | None:
-    """Why the attacker can never see traffic between a and b, if so."""
+    """Why the attacker can never see traffic between a and b, if so.
+
+    This is the one definition of a stealth connection: the endpoints share
+    an AS, a pool, or a group of privately peered pools.
+    """
     pa, pb = topo.nodes[a], topo.nodes[b]
     if pa.home_as == pb.home_as:
         return "intra-as"
@@ -257,16 +268,6 @@ def stealth_kind(topo: Topology, a: str, b: str) -> str | None:
     if ga is not None and gb is not None and topo.group_of(a) == topo.group_of(b):
         return "pool-to-pool"
     return None
-
-
-@dataclass
-class AttackerSpec:
-    """What the adversary controls: her AS, a coalition, and/or hijacks."""
-
-    attacker_as: int | None = None
-    coalition: set[int] = field(default_factory=set)
-    announced: list[tuple[str, int]] = field(default_factory=list)
-    seed: int = 0
 
 
 class Coverage:
@@ -335,43 +336,6 @@ def intercepting_ases(topo: Topology, src_node: str, dst_node: str) -> set[int]:
     return set(path)
 
 
-@dataclass
-class ConnectionClass:
-    kind: str  # "vulnerable" | "intra-as" | "intra-pool" | "pool-to-pool"
-    a_to_b: bool = False  # attacker sees the a→b direction
-    b_to_a: bool = False
-
-    @property
-    def is_stealth(self) -> bool:
-        return self.kind != "vulnerable"
-
-
-def classify_connection(
-    topo: Topology, a: str, b: str, attacker: AttackerSpec | None = None
-) -> ConnectionClass:
-    if a == b:
-        raise ScenarioError("a connection needs two distinct endpoints")
-    kind = stealth_kind(topo, a, b)
-    if kind is not None:
-        return ConnectionClass(kind)
-    cls = ConnectionClass("vulnerable")
-    if attacker is None:
-        return cls
-    cov = Coverage(topo, attacker.announced, attacker.seed) if attacker.announced else None
-    pa, pb = topo.nodes[a], topo.nodes[b]
-    fwd = topo.forwarding
-
-    def seen(src_pl, dst_pl, dst_id):
-        path = fwd.path(src_pl.home_as, dst_pl.home_as)
-        if path and attacker.coalition.intersection(path):
-            return True
-        return cov.diverted(dst_id, src_pl.home_as) if cov else False
-
-    cls.a_to_b = seen(pa, pb, b)
-    cls.b_to_a = seen(pb, pa, a)
-    return cls
-
-
 # -- scenario loading -----------------------------------------------------------
 
 
@@ -380,42 +344,85 @@ def _require(cond: bool, where: str, message: str) -> None:
         raise ScenarioError(f"{where}: {message}")
 
 
-KNOWN_PARAMS = {
-    "block_interval_mean",
-    "blocks",
-    "per_hop_delay",
-    "base_delay",
-    "tx_getdata_rate",
-    "drain_time",
-    "threshold",
-    "restore_margin",
-    "convergence_delay",
-    "residual_share",
-    "churn",
-    "outgoing_target",
-    "max_connections",
-    "connections",
-}
+def _param(default, json_type, **floor):
+    """A parameter field: its default, JSON Schema type and floor (`minimum` or `exclusiveMinimum`)."""
+    return field(default=default, metadata={"type": json_type, **floor})
 
-# numeric floors: (bound, bound itself allowed).  A zero block interval is
-# divided by; a negative latency makes simulated time run backwards.
-_PARAM_FLOORS = {
-    "block_interval_mean": (0.0, False),
-    "per_hop_delay": (0.0, True),
-    "base_delay": (0.0, True),
-}
+
+@dataclass
+class SimParams:
+    """The simulation parameters, the keys of a scenario's `params` block and of `--set`.
+
+    This table is their one definition: field names are the known keys and
+    defaults the defaults.  Each field's metadata holds its JSON Schema type
+    and floor, which `param_problem` enforces and the `params` block of
+    docs/scenario.schema.json restates.  The floors keep the clock running
+    forward: a zero block interval is divided by, and a negative latency,
+    rate or delay would schedule events in the past.
+    """
+
+    block_interval_mean: float = _param(600.0, "number", exclusiveMinimum=0)
+    blocks: int = _param(144, "integer", minimum=0)
+    per_hop_delay: float = _param(1.0, "number", minimum=0)
+    base_delay: float = _param(0.05, "number", minimum=0)
+    tx_getdata_rate: float = _param(0.0, "number", minimum=0)
+    drain_time: float = _param(7200.0, "number", minimum=0)
+    threshold: float = _param(600.0, "number", minimum=0)
+    restore_margin: float = _param(300.0, "number", minimum=0)
+    convergence_delay: float = _param(90.0, "number", minimum=0)
+    outgoing_target: int = _param(8, "integer", minimum=0)
+    max_connections: int = _param(125, "integer", minimum=0)
+    residual_share: float | None = _param(None, ["number", "null"], minimum=0)
+    churn: dict | None = _param(None, ["object", "null"])
+    connections: list | None = _param(None, ["array", "null"])
+
+    @classmethod
+    def from_mapping(cls, mapping: dict) -> "SimParams":
+        known = {f for f in cls.__dataclass_fields__}
+        return cls(**{k: v for k, v in mapping.items() if k in known})
+
+
+_PARAM_SPECS = {f.name: f.metadata for f in fields(SimParams)}
+_JSON_TYPES = {"number": (int, float), "integer": int, "object": dict, "array": list, "null": type(None)}
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number; a bool is never one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) or math.isfinite(value)
 
 
 def param_problem(key: str, value) -> str | None:
-    """Why `value` is out of range for simulation parameter `key`, or None if it is fine."""
-    floor = _PARAM_FLOORS.get(key)
-    if floor is None:
-        return None
-    bound, inclusive = floor
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        return f"must be a finite number, got {value!r}"
-    if value < bound or (value == bound and not inclusive):
-        return f"must be {'>=' if inclusive else '>'} {bound:g}, got {value!r}"
+    """Why `value` is not valid for simulation parameter `key`, or None if it is fine."""
+    spec = _PARAM_SPECS.get(key)
+    if spec is None:
+        return f"unknown parameter (valid: {', '.join(sorted(_PARAM_SPECS))})"
+    types = [spec["type"]] if isinstance(spec["type"], str) else spec["type"]
+    if isinstance(value, bool) or not isinstance(value, tuple(_JSON_TYPES[t] for t in types)):
+        return f"must be {' or '.join(types)}, got {value!r}"
+    if isinstance(value, float) and not math.isfinite(value):
+        return f"must be finite, got {value!r}"
+    if "minimum" in spec and value is not None and value < spec["minimum"]:
+        return f"must be >= {spec['minimum']}, got {value!r}"
+    if "exclusiveMinimum" in spec and value <= spec["exclusiveMinimum"]:
+        return f"must be > {spec['exclusiveMinimum']}, got {value!r}"
+    if key == "churn" and value is not None:
+        unknown = sorted(set(value) - {"enabled", "lifetime_table"})
+        if unknown:
+            return f"has unknown keys {unknown}"
+        if not isinstance(value.get("enabled", False), bool):
+            return f"enabled must be true or false, got {value['enabled']!r}"
+        table = value.get("lifetime_table", [])
+        if not isinstance(table, list) or not all(
+            isinstance(row, list) and len(row) == 2 and all(map(_is_number, row))
+            and 0 <= row[0] <= 1 and row[1] > 0 for row in table
+        ):
+            return f"lifetime_table must be a list of [p in [0,1], mean > 0], got {table!r}"
+    if key == "connections" and value is not None:
+        for pair in value:
+            if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(n, str) for n in pair)):
+                return f"must be a list of [from, to] node id pairs, got {pair!r} in it"
     return None
 
 
@@ -441,8 +448,7 @@ def load_topology(path: str | Path | dict) -> Topology:
         )
 
     countries: dict[int, str] = {}
-    for i, entry in enumerate(raw.get("ases", [])):
-        where = f"ases[{i}]"
+    for where, entry in _entries(raw, "ases"):
         _require(isinstance(entry.get("id"), int), where + ".id", "AS id must be an integer")
         _require(entry["id"] not in countries, where + ".id", f"duplicate AS id {entry['id']}")
         countries[entry["id"]] = str(entry.get("country", ""))
@@ -452,8 +458,7 @@ def load_topology(path: str | Path | dict) -> Topology:
     customers = {a: set() for a in countries}
     peers = {a: set() for a in countries}
     seen_pairs = set()
-    for i, entry in enumerate(raw.get("links", [])):
-        where = f"links[{i}]"
+    for where, entry in _entries(raw, "links"):
         a, b, rel = entry.get("a"), entry.get("b"), entry.get("rel")
         _require(a in countries, where + ".a", f"unknown AS {a}")
         _require(b in countries, where + ".b", f"unknown AS {b}")
@@ -472,8 +477,7 @@ def load_topology(path: str | Path | dict) -> Topology:
 
     prefixes: list[Prefix] = []
     nets: list[tuple[ipaddress.IPv4Network, str]] = []
-    for i, entry in enumerate(raw.get("prefixes", [])):
-        where = f"prefixes[{i}]"
+    for where, entry in _entries(raw, "prefixes"):
         base, length, origin = entry.get("base"), entry.get("len"), entry.get("origin_as")
         _require(isinstance(length, int), where + ".len", "prefix length must be an integer")
         _require(length <= 24, where, f"prefix {base}/{length} longer than /24 (filtered Internet-wide)")
@@ -490,8 +494,7 @@ def load_topology(path: str | Path | dict) -> Topology:
     by_str = {str(p): p for p in prefixes}
     nodes: dict[str, NodePlacement] = {}
     ips_seen = set()
-    for i, entry in enumerate(raw.get("nodes", [])):
-        where = f"nodes[{i}]"
+    for where, entry in _entries(raw, "nodes"):
         nid = entry.get("id")
         _require(isinstance(nid, str) and nid, where + ".id", "node id must be a non-empty string")
         _require(nid not in nodes, where + ".id", f"duplicate node id {nid!r}")
@@ -515,8 +518,7 @@ def load_topology(path: str | Path | dict) -> Topology:
 
     pools: dict[str, Pool] = {}
     share_sum = 0.0
-    for i, entry in enumerate(raw.get("pools", [])):
-        where = f"pools[{i}]"
+    for where, entry in _entries(raw, "pools"):
         pid = entry.get("id")
         _require(isinstance(pid, str) and pid, where + ".id", "pool id must be a non-empty string")
         _require(pid not in pools, where + ".id", f"duplicate pool id {pid!r}")
@@ -545,11 +547,16 @@ def load_topology(path: str | Path | dict) -> Topology:
             _require(other in pools, "pools", f"private peer {other!r} of {pool.pool_id!r} unknown")
             _require(other != pool.pool_id, "pools", f"{pool.pool_id!r} privately peers with itself")
 
-    params = dict(raw.get("params", {}))
+    params = raw.get("params", {})
+    _require(isinstance(params, dict), "params", "must be an object")
+    params = dict(params)
     for key, value in params.items():
-        _require(key in KNOWN_PARAMS, f"params.{key}", "unknown parameter")
         problem = param_problem(key, value)
         _require(problem is None, f"params.{key}", problem)
+    for i, pair in enumerate(params.get("connections") or []):
+        for end in pair:
+            _require(end in nodes, f"params.connections[{i}]", f"unknown node {end!r}")
+        _require(pair[0] != pair[1], f"params.connections[{i}]", "a node cannot connect to itself")
     residual = params.get("residual_share")
     n_regular = len(nodes) - len(taken)
     if residual is not None:
@@ -567,20 +574,7 @@ def load_topology(path: str | Path | dict) -> Topology:
 
     attack = raw.get("attack")
     if attack is not None:
-        _require(attack.get("kind") in ("partition", "delay"), "attack.kind",
-                 f"kind must be partition or delay, got {attack.get('kind')!r}")
-        for t in attack.get("target", []):
-            _require(t in nodes, "attack.target", f"unknown node {t!r}")
-        coalition = attack.get("coalition", [])
-        if isinstance(coalition, list):
-            for c in coalition:
-                _require(c in countries, "attack.coalition", f"unknown AS {c}")
-        else:
-            _require(
-                any(v == coalition for v in countries.values()),
-                "attack.coalition",
-                f"no AS belongs to country {coalition!r}",
-            )
+        _check_attack(attack, nodes, countries)
 
     topo = Topology(
         graph=AsGraph(countries, providers, customers, peers),
@@ -592,6 +586,50 @@ def load_topology(path: str | Path | dict) -> Topology:
         raw=raw,
     )
     return topo
+
+
+def _entries(raw: dict, key: str):
+    """Yield (JSON location, object) for each entry of the top-level list `key`."""
+    items = raw.get(key, [])
+    _require(isinstance(items, list), key, "must be a list")
+    for i, entry in enumerate(items):
+        where = f"{key}[{i}]"
+        if not isinstance(entry, dict):
+            raise ScenarioError(f"{where}: must be an object")
+        yield where, entry
+
+
+def _check_attack(attack, nodes: dict, countries: dict[int, str]) -> None:
+    """What the engine reads of the attack block, checked before any run starts."""
+    _require(isinstance(attack, dict), "attack", "must be an object")
+    kind = attack.get("kind")
+    _require(kind in ("partition", "delay"), "attack.kind",
+             f"kind must be partition or delay, got {kind!r}")
+    targets = attack.get("target", [])
+    _require(isinstance(targets, list), "attack.target", "must be a list")
+    for t in targets:
+        _require(isinstance(t, str) and t in nodes, "attack.target", f"unknown node {t!r}")
+    ap = attack.get("params", {})
+    _require(isinstance(ap, dict), "attack.params", "must be an object")
+    for key in ("start", "end"):  # control events before time 0 would run the clock backwards
+        value = ap.get(key, 0)
+        _require(value is None or _is_number(value) and value >= 0, f"attack.params.{key}",
+                 f"must be a number >= 0, got {value!r}")
+    if kind == "partition" and ap.get("mode") != "perfect":
+        attacker = ap.get("attacker_as")
+        _require(isinstance(attacker, int) and not isinstance(attacker, bool),
+                 "attack.params.attacker_as", f"a hijack needs an integer AS, got {attacker!r}")
+        _require(attacker in countries, "attack.params.attacker_as", f"unknown AS {attacker}")
+    if kind == "delay":
+        _require("coalition" in ap or targets, "attack.target",
+                 "a delay attack needs a victim or params.coalition")
+    coalition = ap.get("coalition", [])
+    if isinstance(coalition, list):
+        for c in coalition:
+            _require(isinstance(c, int) and c in countries, "attack.params.coalition", f"unknown AS {c!r}")
+    else:
+        _require(coalition in countries.values(), "attack.params.coalition",
+                 f"no AS belongs to country {coalition!r}")
 
 
 def _check_provider_acyclic(providers: dict[int, set[int]]) -> None:

@@ -51,7 +51,9 @@ def test_unknown_override_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("key,value", [("block_interval_mean", 0), ("per_hop_delay", -3),
-                                       ("base_delay", -0.5), ("base_delay", "NaN")])
+                                       ("base_delay", -0.5), ("base_delay", "NaN"),
+                                       ("churn", 5), ("connections", 5), ("blocks", "x"),
+                                       ("connections", [["victim", "nope"]])])
 def test_out_of_range_scenario_param_is_scenario_error(tmp_path, capsys, key, value):
     raw = json.loads(Path(PAPERLIKE).read_text())
     raw["params"][key] = float(value) if value == "NaN" else value
@@ -61,7 +63,8 @@ def test_out_of_range_scenario_param_is_scenario_error(tmp_path, capsys, key, va
     assert f"params.{key}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("pair", ["block_interval_mean=0", "per_hop_delay=-3", "base_delay=fast"])
+@pytest.mark.parametrize("pair", ["block_interval_mean=0", "per_hop_delay=-3", "base_delay=fast",
+                                  "churn=5", "connections=5", "blocks=x"])
 def test_out_of_range_override_is_usage_error(capsys, pair):
     assert run_cli("run", "--scenario", PAPERLIKE, "--seeds", "0", "--set", pair) == 2
     assert f"params.{pair.split('=')[0]}" in capsys.readouterr().err
@@ -103,6 +106,17 @@ def test_run_csv_format(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "config,seed,metric,value"
     assert len(lines) > 2
+
+
+def test_thread_count_does_not_change_output(tmp_path, monkeypatch):
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("BTCRS_THREADS", threads)
+        out = tmp_path / f"r{threads}.json"
+        assert run_cli("run", "--scenario", PAPERLIKE, "--seeds", "0..1",
+                       "--set", "blocks=3", "--out", str(out)) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_overrides_reach_the_engine(tmp_path):

@@ -66,6 +66,13 @@ def test_config_digest_tracks_content():
     assert d1 != d2 and len(d1) == 16
 
 
+def test_clock_never_runs_backwards():
+    sim = engine.Simulation(tp.load_topology(tiny_world()), seed=0)
+    sim.schedule_control(50.0, lambda s: s.schedule_control(s.now - 1.0, lambda s: None))
+    with pytest.raises(RuntimeError, match="ran backwards"):
+        sim.run()
+
+
 # ---------------------------------------------------------------- connections --
 
 

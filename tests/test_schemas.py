@@ -1,5 +1,6 @@
 """The shipped JSON schemas must accept what the package actually produces."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import jsonschema
 import pytest
 
 from btcrs import engine, metrics, synth
+from btcrs import topology as tp
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,6 +26,16 @@ def report_schema():
 @pytest.mark.parametrize("name", ["paperlike.scn", "delaynode.scn", "twohalves.scn"])
 def test_shipped_scenarios_validate(name, scenario_schema):
     jsonschema.validate(json.loads((ROOT / "scenarios" / name).read_text()), scenario_schema)
+
+
+def test_params_schema_matches_the_parameter_table(scenario_schema):
+    props = scenario_schema["properties"]["params"]["properties"]
+    table = {f.name: f for f in dataclasses.fields(tp.SimParams)}
+    assert set(props) == set(table)
+    for key, f in table.items():
+        floor = {k: v for k, v in props[key].items() if k in ("minimum", "exclusiveMinimum")}
+        assert {"type": props[key]["type"], **floor} == dict(f.metadata), key
+        assert tp.param_problem(key, f.default) is None, key
 
 
 def test_generated_scenarios_validate(scenario_schema):

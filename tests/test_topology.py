@@ -212,7 +212,6 @@ def test_load_minimal_scenario():
     topo = tp.load_topology(minimal_scenario())
     assert topo.nodes["n1"].home_as == 1
     assert topo.forwarding.path(2, 1) == [2, 1]
-    assert topo.residual_share() == 1.0
 
 
 @pytest.mark.parametrize(
@@ -230,6 +229,18 @@ def test_load_minimal_scenario():
         ({"nodes": [{"id": "n1", "ip": "10.1.0.1", "prefix": "10.1.0.0/16", "as": 2}]},
          "originated by AS1"),
         ({"params": {"warp_speed": 1}}, "unknown parameter"),
+        ({"ases": [1, 2]}, "ases[0]: must be an object"),
+        ({"links": "x"}, "links: must be a list"),
+        ({"attack": [1]}, "attack: must be an object"),
+        ({"attack": {"kind": "partition", "target": ["n1"]}}, "attack.params.attacker_as"),
+        ({"attack": {"kind": "partition", "target": ["n1"], "params": {"attacker_as": "2"}}},
+         "attack.params.attacker_as"),
+        ({"attack": {"kind": "delay", "target": []}}, "attack.target"),
+        ({"attack": {"kind": "delay", "params": {"coalition": "ZZ"}}}, "attack.params.coalition"),
+        ({"params": {"churn": {"lifetime_table": [[1.0, -600]]}}}, "params.churn"),
+        ({"params": {"connections": [["n1", "nope"]]}}, "params.connections[0]"),
+        ({"attack": {"kind": "partition", "target": ["n1"], "params": {"mode": "perfect", "start": -5}}},
+         "attack.params.start"),
     ],
 )
 def test_scenario_validation_errors(mutation, fragment):
@@ -372,6 +383,7 @@ def test_classify_stealth_kinds():
             {"id": "b", "ip": "10.1.0.2", "prefix": "10.1.0.0/16", "as": 1},
             {"id": "c", "ip": "10.2.0.1", "prefix": "10.2.0.0/16", "as": 2},
             {"id": "d", "ip": "10.1.0.9", "prefix": "10.1.0.0/16", "as": 1},
+            {"id": "e", "ip": "10.2.0.2", "prefix": "10.2.0.0/16", "as": 2},
         ],
         pools=[
             {"id": "p1", "gateways": ["a", "c"], "hash_share": 0.2, "private_peers": ["p2"]},
@@ -379,23 +391,13 @@ def test_classify_stealth_kinds():
         ],
     )
     topo = tp.load_topology(doc)
-    assert tp.classify_connection(topo, "a", "b").kind == "intra-as"
-    assert tp.classify_connection(topo, "a", "c").kind == "intra-pool"
-    assert tp.classify_connection(topo, "c", "d").kind == "pool-to-pool"
-    assert tp.classify_connection(topo, "b", "c").kind == "vulnerable"
-    with pytest.raises(tp.ScenarioError):
-        tp.classify_connection(topo, "a", "a")
-
-
-def test_classify_directions_under_natural_interception():
-    topo = three_as_topology()
-    attacker = tp.AttackerSpec(coalition={9})
-    cls = tp.classify_connection(topo, "v", "o", attacker)
-    assert cls.kind == "vulnerable" and cls.a_to_b and cls.b_to_a
-    # hijack of the victim's prefix sees only traffic *toward* the victim
-    attacker = tp.AttackerSpec(attacker_as=3, announced=[("10.1.0.0", 17), ("10.1.128.0", 17)])
-    cls = tp.classify_connection(topo, "v", "o", attacker)
-    assert not cls.a_to_b and cls.b_to_a
+    assert tp.stealth_kind(topo, "a", "b") == "intra-as"
+    assert tp.stealth_kind(topo, "a", "c") == "intra-pool"
+    assert tp.stealth_kind(topo, "c", "d") == "pool-to-pool"
+    assert tp.stealth_kind(topo, "b", "c") is None
+    # b and c are linked through a, and e through c's AS, though b-e is no stealth edge
+    assert topo.stealth_component("b") == frozenset("abcde")
+    assert tp.stealth_kind(topo, "b", "e") is None
 
 
 # -- the shipped paper-like scenario --------------------------------------------
