@@ -56,6 +56,7 @@ class PartitionAttacker:
         self.partition = frozenset(partition)
         self.threshold = threshold
         self.leaked: set[str] = set()
+        self._monitored = self.partition  # P \ L, recomputed only when a member leaks
         self.unresponsive: set[str] = set()
         self.last_seen: dict[str, float] = {n: now for n in self.partition}
         self._external: set[bytes] = set()
@@ -66,7 +67,7 @@ class PartitionAttacker:
     @property
     def monitored(self) -> frozenset:
         """P \\ L: members still being kept inside."""
-        return self.partition - self.leaked
+        return self._monitored
 
     def register_block(self, block_hash: bytes, miner, mine_time: float) -> None:
         """Record a block's origin the moment it is mined.
@@ -100,6 +101,7 @@ class PartitionAttacker:
             return False
         if self._mentions_external(msg):
             self.leaked.add(src)
+            self._monitored = self.partition - self.leaked
             self.unresponsive.discard(src)
             self.leak_events.append((now, src))
             self.dropped += 1

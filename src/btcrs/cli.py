@@ -65,6 +65,16 @@ def _parse_overrides(pairs: list[str]) -> dict:
     return overrides
 
 
+def _load_topology(raw: dict, overrides: dict) -> tp.Topology:
+    """Load a scenario and check the `--set` overrides that need its node ids."""
+    topo = tp.load_topology(raw)
+    try:
+        tp.check_connections(overrides.get("connections"), topo.nodes)
+    except tp.ScenarioError as exc:
+        raise _CliError(USAGE_ERR, f"bad --set connections: {exc}") from None
+    return topo
+
+
 def _load_scenario(path) -> dict:
     p = Path(path)
     if not p.exists():
@@ -101,6 +111,7 @@ def _cmd_run(args) -> int:
     raw = _load_scenario(args.scenario)
     overrides = _parse_overrides(args.set)
     seeds = _parse_seeds(args.seeds)
+    _load_topology(raw, overrides)
     reports = engine._map_tasks(_report_job, [(raw, s, overrides) for s in seeds])
     _write(args.out, metrics.emit(reports, args.format))
     return 0
@@ -126,7 +137,7 @@ def _cmd_heal(args) -> int:
     raw = _load_scenario(args.scenario)
     overrides = _parse_overrides(args.set)
     seeds = _parse_seeds(args.seeds)
-    digest = tp.load_topology(raw).config_digest()
+    digest = _load_topology(raw, overrides).config_digest()
     results = engine.run_healing_seeds(raw, seeds, args.onpath, overrides)
     results.sort(key=lambda r: r.seed)
     body = {
@@ -150,11 +161,13 @@ def _cmd_delay_node(args) -> int:
         fractions = [float(x) for x in args.interception.split(",")]
     except ValueError:
         raise _CliError(USAGE_ERR, f"bad --interception {args.interception!r}: expected comma-separated fractions") from None
+    if not all(0 <= f <= 1 for f in fractions):
+        raise _CliError(USAGE_ERR, f"bad --interception {args.interception!r}: fractions must be in [0, 1]")
     rows = []
     for f in fractions:
         scn = copy.deepcopy(raw)
         scn["attack"].setdefault("params", {})["interception"] = f
-        digest = tp.load_topology(scn).config_digest()
+        digest = _load_topology(scn, overrides).config_digest()
         reports = engine._map_tasks(_report_job, [(scn, s, overrides) for s in seeds])
         for rep in reports:
             if not rep.uninformed:
@@ -182,7 +195,7 @@ def _cmd_multihoming_sweep(args) -> int:
             "target": [],
             "params": {"coalition": args.coalition, "interception": 1.0},
         }
-        digest = tp.load_topology(scn).config_digest()
+        digest = _load_topology(scn, overrides).config_digest()
         reports = engine._map_tasks(_report_job, [(scn, s, overrides) for s in seeds])
         for rep in reports:
             rows.append((f"{digest}:degree={d}", rep.seed, "orphan_rate", rep.orphan_rate))

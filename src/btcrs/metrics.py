@@ -13,7 +13,15 @@ import json
 import statistics
 from dataclasses import dataclass, field
 
-from .protocol import orphan_rate
+from .protocol import ChainView
+
+
+def orphan_rate(chain: ChainView, mined: int) -> float:
+    """Share of mined blocks that did not make this chain's active branch."""
+    if mined == 0:
+        return 0.0
+    on_chain = len(chain.main_chain()) - 1  # genesis does not count
+    return (mined - on_chain) / mined
 
 
 def uninformed_fraction(victim_series, reference_series, until: float) -> float:

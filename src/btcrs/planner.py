@@ -82,17 +82,22 @@ class PartitionPlan:
 EXHAUSTIVE_CANDIDATE_LIMIT = 20
 
 
-def _sub_prefix_candidates(network: ipaddress.IPv4Network, ips: list[ipaddress.IPv4Address]):
-    """Distinct-coverage sub-prefixes of `network` down to /24, as (prefix, covered)."""
+def _sub_prefix_candidates(prefixlen: int, ips: list[int]):
+    """Distinct-coverage sub-prefixes of a /prefixlen holding `ips`, down to /24.
+
+    `ips` are the addresses as integers.  Returns (prefix, covered) pairs
+    sorted by prefix, where `covered` is the frozenset of `ips` inside it.
+    Each covered set keeps its shortest prefix.
+    """
     seen: dict[frozenset, tuple[str, int]] = {}
-    for length in range(network.prefixlen + 1, 25):
+    for length in range(prefixlen + 1, 25):
+        mask = (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF
+        subnets: dict[int, list[int]] = {}
         for ip in ips:
-            sub = ipaddress.ip_network(f"{ip}/{length}", strict=False)
-            covered = frozenset(i for i in ips if i in sub)
-            key = covered
-            cand = (str(sub.network_address), length)
-            if key not in seen or (length, cand[0]) < (seen[key][1], seen[key][0]):
-                seen[key] = cand
+            subnets.setdefault(ip & mask, []).append(ip)
+        for net, members in subnets.items():
+            # lengths ascend, so a covered set seen before has a shorter prefix
+            seen.setdefault(frozenset(members), (str(ipaddress.IPv4Address(net)), length))
     return [(cand, cov) for cov, cand in sorted(seen.items(), key=lambda kv: kv[1])]
 
 
@@ -166,8 +171,8 @@ def _cover_members(topo: Topology, nodes) -> tuple[list[tuple[str, int]], list[s
         if prefix.length >= 24:
             partial.extend(members)
             continue
-        ips = sorted({ipaddress.IPv4Address(topo.nodes[n].ip) for n in members})
-        candidates = _sub_prefix_candidates(prefix.network, ips)
+        ips = sorted({int(ipaddress.IPv4Address(topo.nodes[n].ip)) for n in members})
+        candidates = _sub_prefix_candidates(prefix.length, ips)
         chosen, approx = _min_cover(candidates, frozenset(ips))
         announcements.extend(chosen)
         approximate = approximate or approx

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import wire
 
@@ -151,21 +151,7 @@ class ChainView:
         return list(reversed(out))
 
 
-def orphan_rate(chain: ChainView, mined: int) -> float:
-    """Share of mined blocks that did not make this chain's active branch."""
-    if mined == 0:
-        return 0.0
-    on_chain = len(chain.main_chain()) - 1  # genesis does not count
-    return (mined - on_chain) / mined
-
-
 # -- node state machine ------------------------------------------------------------
-
-
-@dataclass
-class Conn:
-    direction: str  # "out" | "in"
-    established: float
 
 
 @dataclass
@@ -199,22 +185,33 @@ class Node:
     def __init__(self, node_id: str):
         self.node_id = node_id
         self.chain = ChainView()
-        self.peers: dict[str, Conn] = {}
+        self.peers: dict[str, str] = {}  # peer -> direction: "out" | "in" | "clique"
         self.pending: dict[bytes, Pending] = {}
         self.advertisers: dict[bytes, list[str]] = {}
+        self._outgoing: set[str] = set()
 
     @property
     def outgoing(self) -> set[str]:
-        return {p for p, c in self.peers.items() if c.direction == "out"}
+        """The peers this node dialed ("out" in `peers`).
+
+        This is the live set that `on_connect` and `on_disconnect` keep
+        current, not a copy: callers must not mutate it.
+        """
+        return self._outgoing
 
     def on_connect(self, peer: str, direction: str, now: float) -> list:
-        self.peers[peer] = Conn(direction, now)
+        self.peers[peer] = direction
+        if direction == "out":
+            self._outgoing.add(peer)
+        else:
+            self._outgoing.discard(peer)  # a re-added peer may have changed direction
         if self.chain.tip is not GENESIS:
             return [Send(peer, block_inv(self.chain.tip.hash))]
         return []
 
     def on_disconnect(self, peer: str) -> None:
         self.peers.pop(peer, None)
+        self._outgoing.discard(peer)
 
     def _request(self, h: bytes, peer: str, now: float) -> list:
         self.pending[h] = Pending(peer, now + BLOCK_REQUEST_TIMEOUT, now)
@@ -292,7 +289,3 @@ class Node:
                 actions.extend(self._request(h, candidate, now))
                 break
         return actions
-
-    def mine(self, index: int, now: float) -> tuple[Block, list]:
-        block = make_block(self.chain.tip, self.node_id, index, now)
-        return block, self.accept_block(block, now)

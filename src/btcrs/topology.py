@@ -31,13 +31,6 @@ class Prefix:
     length: int
     origin_as: int
 
-    @property
-    def network(self) -> ipaddress.IPv4Network:
-        return ipaddress.IPv4Network(f"{self.base}/{self.length}")
-
-    def covers(self, ip: str) -> bool:
-        return ipaddress.IPv4Address(ip) in self.network
-
     def __str__(self) -> str:
         return f"{self.base}/{self.length}"
 
@@ -280,21 +273,20 @@ class Coverage:
     """
 
     def __init__(self, topo: Topology, announced: list[tuple[str, int]], seed: int = 0):
+        nets = []  # (network, netmask, length, base), each parsed once
         for base, length in announced:
             if length > 24:
                 raise ScenarioError(
                     f"announcement {base}/{length}: prefixes longer than /24 are filtered Internet-wide"
                 )
-            ipaddress.IPv4Network(f"{base}/{length}")  # validates base/mask alignment
+            net = ipaddress.IPv4Network(f"{base}/{length}")  # validates base/mask alignment
+            nets.append((int(net.network_address), int(net.netmask), length, base))
         self._topo = topo
         self._seed = seed
         self._best: dict[str, tuple[int, str] | None] = {}
         for node_id, pl in topo.nodes.items():
-            covering = [
-                (length, base)
-                for base, length in announced
-                if ipaddress.IPv4Address(pl.ip) in ipaddress.IPv4Network(f"{base}/{length}")
-            ]
+            ip = int(ipaddress.IPv4Address(pl.ip))
+            covering = [(length, base) for net, mask, length, base in nets if ip & mask == net]
             self._best[node_id] = max(covering) if covering else None
 
     def fully_diverted(self, node_id: str) -> bool:
@@ -393,6 +385,11 @@ def _is_number(value) -> bool:
     return isinstance(value, int) or math.isfinite(value)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; a bool is never one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def param_problem(key: str, value) -> str | None:
     """Why `value` is not valid for simulation parameter `key`, or None if it is fine."""
     spec = _PARAM_SPECS.get(key)
@@ -426,6 +423,18 @@ def param_problem(key: str, value) -> str | None:
     return None
 
 
+def check_connections(connections: list | None, node_ids) -> None:
+    """Raise ScenarioError unless each explicit connection joins two distinct known nodes.
+
+    `connections` has passed `param_problem`, which checks its shape; the
+    node ids are known only once a scenario has loaded.
+    """
+    for i, (a, b) in enumerate(connections or []):
+        for end in (a, b):
+            _require(end in node_ids, f"params.connections[{i}]", f"unknown node {end!r}")
+        _require(a != b, f"params.connections[{i}]", "a node cannot connect to itself")
+
+
 def load_topology(path: str | Path | dict) -> Topology:
     """Parse and validate a scenario file (UTF-8 JSON).
 
@@ -449,7 +458,7 @@ def load_topology(path: str | Path | dict) -> Topology:
 
     countries: dict[int, str] = {}
     for where, entry in _entries(raw, "ases"):
-        _require(isinstance(entry.get("id"), int), where + ".id", "AS id must be an integer")
+        _require(_is_int(entry.get("id")), where + ".id", "AS id must be an integer")
         _require(entry["id"] not in countries, where + ".id", f"duplicate AS id {entry['id']}")
         countries[entry["id"]] = str(entry.get("country", ""))
     _require(len(countries) > 0, "ases", "at least one AS required")
@@ -460,8 +469,8 @@ def load_topology(path: str | Path | dict) -> Topology:
     seen_pairs = set()
     for where, entry in _entries(raw, "links"):
         a, b, rel = entry.get("a"), entry.get("b"), entry.get("rel")
-        _require(a in countries, where + ".a", f"unknown AS {a}")
-        _require(b in countries, where + ".b", f"unknown AS {b}")
+        _require(_is_int(a) and a in countries, where + ".a", f"unknown AS {a!r}")
+        _require(_is_int(b) and b in countries, where + ".b", f"unknown AS {b!r}")
         _require(a != b, where, "self-links are not allowed")
         _require(rel in ("c2p", "p2p"), where + ".rel", f"rel must be c2p or p2p, got {rel!r}")
         pair = frozenset((a, b))
@@ -485,27 +494,29 @@ def load_topology(path: str | Path | dict) -> Topology:
             net = ipaddress.IPv4Network(f"{base}/{length}")
         except (ValueError, TypeError) as exc:
             raise ScenarioError(f"{where}: invalid prefix {base}/{length} ({exc})") from None
-        _require(origin in countries, where + ".origin_as", f"unknown AS {origin}")
+        _require(_is_int(origin) and origin in countries, where + ".origin_as", f"unknown AS {origin!r}")
         for other, ow in nets:
             _require(not net.overlaps(other), where, f"prefix {net} overlaps {other} ({ow})")
         nets.append((net, where))
         prefixes.append(Prefix(str(net.network_address), length, origin))
 
-    by_str = {str(p): p for p in prefixes}
+    by_str = {str(p): (p, net) for p, (net, _) in zip(prefixes, nets)}
     nodes: dict[str, NodePlacement] = {}
     ips_seen = set()
     for where, entry in _entries(raw, "nodes"):
         nid = entry.get("id")
         _require(isinstance(nid, str) and nid, where + ".id", "node id must be a non-empty string")
         _require(nid not in nodes, where + ".id", f"duplicate node id {nid!r}")
-        prefix = by_str.get(entry.get("prefix", ""))
-        _require(prefix is not None, where + ".prefix", f"unknown prefix {entry.get('prefix')!r}")
+        name = entry.get("prefix")
+        _require(isinstance(name, str) and name in by_str, where + ".prefix", f"unknown prefix {name!r}")
+        prefix, net = by_str[name]
         ip = entry.get("ip")
         try:
-            ipaddress.IPv4Address(ip)
-        except (ValueError, TypeError):
-            raise ScenarioError(f"{where}.ip: invalid IPv4 address {ip!r}") from None
-        _require(prefix.covers(ip), where + ".ip", f"{ip} is outside {prefix}")
+            addr = ipaddress.IPv4Address(ip) if isinstance(ip, str) else None
+        except ValueError:
+            addr = None
+        _require(addr is not None, where + ".ip", f"invalid IPv4 address {ip!r}")
+        _require(addr in net, where + ".ip", f"{ip} is outside {prefix}")
         _require(ip not in ips_seen, where + ".ip", f"duplicate IP {ip}")
         ips_seen.add(ip)
         home_as = entry.get("as", prefix.origin_as)
@@ -523,17 +534,21 @@ def load_topology(path: str | Path | dict) -> Topology:
         _require(isinstance(pid, str) and pid, where + ".id", "pool id must be a non-empty string")
         _require(pid not in pools, where + ".id", f"duplicate pool id {pid!r}")
         gateways = entry.get("gateways", [])
-        _require(len(gateways) > 0, where + ".gateways", "a pool needs at least one gateway")
+        _require(isinstance(gateways, list) and len(gateways) > 0, where + ".gateways",
+                 "a pool needs a list of at least one gateway")
         for g in gateways:
-            _require(g in nodes, where + ".gateways", f"unknown node {g!r}")
+            _require(isinstance(g, str) and g in nodes, where + ".gateways", f"unknown node {g!r}")
         share = entry.get("hash_share")
         _require(
-            isinstance(share, (int, float)) and 0 <= share <= 1,
+            _is_number(share) and 0 <= share <= 1,
             where + ".hash_share",
             f"hash_share must be in [0,1], got {share!r}",
         )
         share_sum += share
-        pools[pid] = Pool(pid, list(gateways), float(share), list(entry.get("private_peers", [])))
+        private_peers = entry.get("private_peers", [])
+        _require(isinstance(private_peers, list) and all(isinstance(p, str) for p in private_peers),
+                 where + ".private_peers", f"must be a list of pool ids, got {private_peers!r}")
+        pools[pid] = Pool(pid, list(gateways), float(share), list(private_peers))
     taken: dict[str, str] = {}
     for pool in pools.values():
         for g in pool.gateways:
@@ -553,10 +568,7 @@ def load_topology(path: str | Path | dict) -> Topology:
     for key, value in params.items():
         problem = param_problem(key, value)
         _require(problem is None, f"params.{key}", problem)
-    for i, pair in enumerate(params.get("connections") or []):
-        for end in pair:
-            _require(end in nodes, f"params.connections[{i}]", f"unknown node {end!r}")
-        _require(pair[0] != pair[1], f"params.connections[{i}]", "a node cannot connect to itself")
+    check_connections(params.get("connections"), nodes)
     residual = params.get("residual_share")
     n_regular = len(nodes) - len(taken)
     if residual is not None:
@@ -623,6 +635,15 @@ def _check_attack(attack, nodes: dict, countries: dict[int, str]) -> None:
     if kind == "delay":
         _require("coalition" in ap or targets, "attack.target",
                  "a delay attack needs a victim or params.coalition")
+        direction = ap.get("direction", "outgoing")
+        _require(direction in ("outgoing", "incoming"), "attack.params.direction",
+                 f"must be outgoing or incoming, got {direction!r}")
+        interception = ap.get("interception", 1.0)
+        _require(_is_number(interception) and 0 <= interception <= 1, "attack.params.interception",
+                 f"must be a number in [0, 1], got {interception!r}")
+        margin = ap.get("restore_margin", 0.0)
+        _require(_is_number(margin) and margin >= 0, "attack.params.restore_margin",
+                 f"must be a number >= 0, got {margin!r}")
     coalition = ap.get("coalition", [])
     if isinstance(coalition, list):
         for c in coalition:

@@ -105,6 +105,24 @@ def test_liveness_sweep_tracks_silence():
     assert rep.to_dict()["leaked"] == ["c"]
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("abcxy"), st.sampled_from("abcxy"),
+                          st.sampled_from(["external", "internal", "getdata", "sweep"])), max_size=40))
+def test_monitored_is_partition_minus_leaked(steps):
+    a = adv.PartitionAttacker({"a", "b", "c"}, threshold=5.0, now=0.0)
+    ext, internal = mk(G, "x", 0), mk(G, "a", 1)
+    a.register_block(ext.hash, "x", 0.0)
+    a.register_block(internal.hash, "a", 0.0)
+    msgs = {"external": inv_of(ext), "internal": inv_of(internal),
+            "getdata": pr.GetDataMsg([(wire.INV_BLOCK, ext.hash)])}
+    for now, (src, dst, what) in enumerate(steps, start=1):
+        if what == "sweep":
+            a.sweep(float(now))
+        else:
+            a.tick(src, dst, msgs[what], float(now))
+        assert a.monitored == a.partition - a.leaked
+
+
 # -------------------------------------------------------------------- delay --
 
 
@@ -148,8 +166,8 @@ class Pipe:
                 self.attacker.on_disconnect("v", "p")
 
     def peer_mines(self, idx, now):
-        block, acts = self.p.mine(idx, now)
-        self._run(self.p, acts, now)
+        block = pr.make_block(self.p.chain.tip, self.p.node_id, idx, now)
+        self._run(self.p, self.p.accept_block(block, now), now)
         return block
 
     def victim_tx_request(self, now):

@@ -64,7 +64,8 @@ def test_out_of_range_scenario_param_is_scenario_error(tmp_path, capsys, key, va
 
 
 @pytest.mark.parametrize("pair", ["block_interval_mean=0", "per_hop_delay=-3", "base_delay=fast",
-                                  "churn=5", "connections=5", "blocks=x"])
+                                  "churn=5", "connections=5", "blocks=x",
+                                  'connections=[["A","nope"]]'])
 def test_out_of_range_override_is_usage_error(capsys, pair):
     assert run_cli("run", "--scenario", PAPERLIKE, "--seeds", "0", "--set", pair) == 2
     assert f"params.{pair.split('=')[0]}" in capsys.readouterr().err
@@ -169,6 +170,11 @@ def test_delay_node_emits_one_row_per_cell(tmp_path):
 
 def test_delay_node_rejects_scenarios_without_a_victim():
     assert run_cli("delay-node", "--scenario", PAPERLIKE) == 3
+
+
+@pytest.mark.parametrize("fractions", ["0,1.5", "nan"])
+def test_delay_node_interception_outside_unit_interval_is_usage_error(fractions):
+    assert run_cli("delay-node", "--scenario", DELAYNODE, "--interception", fractions) == 2
 
 
 def test_multihoming_sweep_row_grid(tmp_path):

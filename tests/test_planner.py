@@ -10,6 +10,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btcrs import planner, synth
 from btcrs import topology as tp
@@ -176,6 +178,38 @@ def test_maximal_isolatable_matches_exhaustive_search():
         assert got == brute_force_isolatable(topo, partition)
         # the result itself is always feasible
         assert planner.is_feasible(topo, got)[0]
+
+
+def ipaddress_sub_prefix_candidates(network, ips):
+    """Candidate search with an `ipaddress` network per (length, address) pair.
+
+    The reference that the integer-mask `planner._sub_prefix_candidates` must
+    agree with; `ips` are sorted `IPv4Address` objects.
+    """
+    seen = {}
+    for length in range(network.prefixlen + 1, 25):
+        for ip in ips:
+            sub = ipaddress.ip_network(f"{ip}/{length}", strict=False)
+            covered = frozenset(i for i in ips if i in sub)
+            cand = (str(sub.network_address), length)
+            if covered not in seen or (length, cand[0]) < (seen[covered][1], seen[covered][0]):
+                seen[covered] = cand
+    return [(cand, cov) for cov, cand in sorted(seen.items(), key=lambda kv: kv[1])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sub_prefix_candidates_equal_ipaddress_reference(data):
+    length = data.draw(st.integers(8, 24))
+    network = ipaddress.IPv4Network((data.draw(st.integers(0, 2**32 - 1)), length), strict=False)
+    # addresses spread over the low `spread` host bits, so some share sub-prefixes
+    spread = data.draw(st.integers(0, 32 - length))
+    offsets = data.draw(st.lists(st.integers(0, 2**spread - 1), min_size=1, max_size=12, unique=True))
+    ips = sorted(int(network.network_address) + o for o in offsets)
+    want = ipaddress_sub_prefix_candidates(network, [ipaddress.IPv4Address(i) for i in ips])
+    assert planner._sub_prefix_candidates(length, ips) == [
+        (cand, frozenset(int(i) for i in cov)) for cand, cov in want
+    ]
 
 
 def oracle_min_cover_size(topo, partition):

@@ -5,6 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from btcrs import metrics
 from btcrs import protocol as pr
 from btcrs import wire
 
@@ -180,6 +181,19 @@ def test_connect_announces_current_tip():
     assert sends(acts, pr.InvMsg)[0].msg.items == [(wire.INV_BLOCK, b.hash)]
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["p1", "p2", "p3"]),
+                          st.sampled_from(["out", "in", "clique", "disconnect"])), max_size=40))
+def test_outgoing_follows_connects_and_disconnects(steps):
+    n = pr.Node("n")
+    for peer, what in steps:
+        if what == "disconnect":
+            n.on_disconnect(peer)
+        else:
+            n.on_connect(peer, what, 0.0)  # a connected peer may come back in another direction
+        assert n.outgoing == {p for p, d in n.peers.items() if d == "out"}
+
+
 def test_orphan_rate_counts_off_chain_blocks():
     c = pr.ChainView()
     main = chained(8, miner="a")
@@ -187,8 +201,8 @@ def test_orphan_rate_counts_off_chain_blocks():
         c.add(b, b.created)
     fork = pr.make_block(main[3], "b", 99, 50.0)
     c.add(fork, 50.0)
-    assert pr.orphan_rate(c, mined=9) == (9 - 8) / 9
-    assert pr.orphan_rate(pr.ChainView(), mined=0) == 0.0
+    assert metrics.orphan_rate(c, mined=9) == (9 - 8) / 9
+    assert metrics.orphan_rate(pr.ChainView(), mined=0) == 0.0
 
 
 def test_protocol_messages_survive_the_wire():

@@ -6,6 +6,7 @@ routing-tree construction in btcrs.topology — so the two implementations
 cross-check each other on random graphs.
 """
 
+import ipaddress
 import json
 import random
 from pathlib import Path
@@ -241,6 +242,23 @@ def test_load_minimal_scenario():
         ({"params": {"connections": [["n1", "nope"]]}}, "params.connections[0]"),
         ({"attack": {"kind": "partition", "target": ["n1"], "params": {"mode": "perfect", "start": -5}}},
          "attack.params.start"),
+        ({"links": [{"a": [1], "b": 2, "rel": "c2p"}]}, "links[0].a"),
+        ({"pools": [{"id": "p", "gateways": [["n1"]], "hash_share": 0.5}]}, "pools[0].gateways"),
+        ({"pools": [{"id": "p", "gateways": ["n1"], "hash_share": True}]}, "pools[0].hash_share"),
+        ({"pools": [{"id": "p", "gateways": ["n1"], "hash_share": 0.5, "private_peers": [["q"]]}]},
+         "pools[0].private_peers"),
+        ({"nodes": [{"id": "n1", "ip": "10.1.0.1", "prefix": ["10.1.0.0/16"]}]}, "nodes[0].prefix"),
+        ({"nodes": [{"id": "n1", "ip": 167837697, "prefix": "10.1.0.0/16"}]}, "nodes[0].ip"),
+        ({"attack": {"kind": "delay", "target": ["n1"], "params": {"interception": "x"}}},
+         "attack.params.interception"),
+        ({"attack": {"kind": "delay", "target": ["n1"], "params": {"interception": 1.5}}},
+         "attack.params.interception"),
+        ({"attack": {"kind": "delay", "target": ["n1"], "params": {"restore_margin": "x"}}},
+         "attack.params.restore_margin"),
+        ({"attack": {"kind": "delay", "target": ["n1"], "params": {"restore_margin": float("inf")}}},
+         "attack.params.restore_margin"),
+        ({"attack": {"kind": "delay", "target": ["n1"], "params": {"direction": "sideways"}}},
+         "attack.params.direction"),
     ],
 )
 def test_scenario_validation_errors(mutation, fragment):
@@ -355,8 +373,6 @@ def test_adding_more_specific_never_shrinks_coverage(ip_suffix, extra_len):
     topo = three_as_topology()
     ip = f"10.1.{ip_suffix >> 8}.{ip_suffix & 0xFF}"
     base = [("10.1.0.0", 17)]
-    import ipaddress
-
     net = ipaddress.ip_network(f"{ip}/{extra_len}", strict=False)
     more = base + [(str(net.network_address), extra_len)]
     cov_base = tp.hijack_coverage(topo, base, attacker_as=3)
@@ -365,6 +381,57 @@ def test_adding_more_specific_never_shrinks_coverage(ip_suffix, extra_len):
         for src in (2, 3):
             if cov_base.diverted(node, src):
                 assert cov_more.diverted(node, src)
+
+
+class IpaddressCoverage(tp.Coverage):
+    """Best-prefix selection with one `ipaddress` network per (node, announcement) pair.
+
+    The reference that the integer-mask selection in `Coverage` must agree with.
+    """
+
+    def __init__(self, topo, announced, seed=0):
+        self._topo = topo
+        self._seed = seed
+        self._best = {}
+        for node_id, pl in topo.nodes.items():
+            covering = [
+                (length, base)
+                for base, length in announced
+                if ipaddress.IPv4Address(pl.ip) in ipaddress.IPv4Network(f"{base}/{length}")
+            ]
+            self._best[node_id] = max(covering) if covering else None
+
+
+def _subnet(ip: int, length: int) -> str:
+    return str(ipaddress.IPv4Network((ip, length), strict=False).network_address)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_coverage_equals_ipaddress_reference(data):
+    ips = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6, unique=True))
+    nodes = {}
+    for i, ip in enumerate(ips):
+        home_len = data.draw(st.integers(8, 24))
+        home = tp.Prefix(_subnet(ip, home_len), home_len, origin_as=1 + i % 2)
+        nodes[f"n{i}"] = tp.NodePlacement(f"n{i}", str(ipaddress.IPv4Address(ip)), home, home.origin_as)
+    # announcements around the nodes' addresses, at their home length or any other
+    node_lens = [pl.home_prefix.length for pl in nodes.values()]
+    announced = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        near = data.draw(st.one_of(st.sampled_from(ips), st.integers(0, 2**32 - 1)))
+        length = data.draw(st.one_of(st.integers(8, 24), st.sampled_from(node_lens)))
+        announced.append((_subnet(near, length), length))
+    graph = tp.AsGraph({1: "", 2: "", 3: ""}, {1: {3}, 2: {3}, 3: set()},
+                       {1: set(), 2: set(), 3: {1, 2}}, {1: set(), 2: set(), 3: set()})
+    topo = tp.Topology(graph, [], nodes, {}, {}, None, {})
+    seed = data.draw(st.integers(0, 2**16))
+    cov = tp.hijack_coverage(topo, announced, attacker_as=3, seed=seed)
+    ref = IpaddressCoverage(topo, announced, seed)
+    for node in nodes:
+        assert cov.fully_diverted(node) == ref.fully_diverted(node)
+        for src in (1, 2, 3):
+            assert cov.diverted(node, src) == ref.diverted(node, src)
 
 
 # -- classification and interception -------------------------------------------
