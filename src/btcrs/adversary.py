@@ -192,12 +192,12 @@ class DelayAttacker:
             self.intercepted.add(b)
 
     def on_disconnect(self, a: str, b: str) -> None:
-        if self.mode != "node":
+        """The connection a-b closed; either end may be the victim."""
+        if self.mode != "node" or self.victim not in (a, b):
             return
-        if a == self.victim:
-            self.intercepted.discard(b)
-            self._stash.pop((a, b), None)
-            self._stash.pop((b, a), None)
+        self.intercepted.discard(b if a == self.victim else a)
+        self._stash.pop((a, b), None)
+        self._stash.pop((b, a), None)
 
     # ---- message selection ----
 

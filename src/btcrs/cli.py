@@ -152,7 +152,7 @@ def _cmd_heal(args) -> int:
 
 def _cmd_delay_node(args) -> int:
     raw = _load_scenario(args.scenario)
-    attack = raw.get("attack")
+    attack = tp.load_topology(raw).attack  # validated before anything reads it
     if not attack or attack.get("kind") != "delay" or not attack.get("target"):
         raise _CliError(SCENARIO_ERR, "delay-node needs a scenario with a single-victim delay attack")
     overrides = _parse_overrides(args.set)

@@ -1,8 +1,9 @@
 """Deterministic event-driven simulation of Bitcoin gossip over an AS topology.
 
 A single heap orders deliveries, mining, request timeouts, background
-transaction chatter, churn reboots and attack control; ties break on
-insertion order, so a (scenario, seed) pair always replays identically.
+transaction chatter, churn reboots and attack control; each entry carries
+the function that handles it, and ties break on insertion order, so a
+(scenario, seed) pair always replays identically.
 Latency between two nodes is `base_delay` plus `per_hop_delay` for every
 inter-AS hop of the policy-compliant route; members of the same pool fabric
 exchange messages instantly and invisibly to any on-path attacker.
@@ -30,7 +31,6 @@ class MinedBlock:
     time: float
     block: pr.Block
     miner: str
-    inserted: tuple[str, ...]
 
 
 @dataclass
@@ -58,7 +58,7 @@ class Simulation:
     """One seeded run over a loaded topology."""
 
     def __init__(self, topo: tp.Topology, seed: int, overrides: dict | None = None,
-                 attack: dict | None | str = "scenario", end_time: float | None = None):
+                 attack: dict | None = None, end_time: float | None = None):
         merged = dict(topo.params)
         if overrides:
             merged.update(overrides)
@@ -92,20 +92,20 @@ class Simulation:
 
         self.partition_attacker: PartitionAttacker | None = None
         self._coverage: tp.Coverage | None = None
-        self._perfect_side: set[str] | None = None
         self.delay_attacker: DelayAttacker | None = None
-        self._attack = topo.attack if attack == "scenario" else attack
+        self._attack = attack
         self._regular = sorted(topo.regular_ids)
         self._pools_sorted = sorted(topo.pools.values(), key=lambda p: p.pool_id)
 
     # ---- scheduling primitives ----
 
-    def _push(self, when: float, kind: str, payload) -> None:
-        heapq.heappush(self._heap, (when, self._seq, kind, payload))
+    def _push(self, when: float, handler, args: tuple) -> None:
+        """Schedule `handler(self, *args)`; `handler` is a plain function, not a bound method."""
+        heapq.heappush(self._heap, (when, self._seq, handler, args))
         self._seq += 1
 
     def schedule_control(self, when: float, fn) -> None:
-        self._push(when, "control", fn)
+        self._push(when, fn, ())
 
     # ---- connections ----
 
@@ -160,7 +160,8 @@ class Simulation:
         self._connect(nid, self.rng_net.choice(candidates), "out")
         return True
 
-    def _disconnect(self, a: str, b: str, refill: bool = True) -> None:
+    def _disconnect(self, a: str, b: str, refill_a: bool = True) -> None:
+        """Close a-b; each end that lost an outgoing slot dials a replacement (a only if `refill_a`)."""
         na, nb = self.nodes[a], self.nodes[b]
         if b not in na.peers:
             return
@@ -170,13 +171,11 @@ class Simulation:
         nb.on_disconnect(a)
         if self.delay_attacker is not None:
             self.delay_attacker.on_disconnect(a, b)
-            self.delay_attacker.on_disconnect(b, a)
         self.disconnects += 1
-        if refill:
-            if lost_out_a and len(na.outgoing) < self.params.outgoing_target:
-                self._dial(a, exclude=frozenset({b}))
-            if lost_out_b and len(nb.outgoing) < self.params.outgoing_target:
-                self._dial(b, exclude=frozenset({a}))
+        if refill_a and lost_out_a and len(na.outgoing) < self.params.outgoing_target:
+            self._dial(a, exclude=frozenset({b}))
+        if lost_out_b and len(nb.outgoing) < self.params.outgoing_target:
+            self._dial(b, exclude=frozenset({a}))
 
     def _setup_connections(self) -> None:
         # gateways of privately peered pools form instant cliques
@@ -206,7 +205,12 @@ class Simulation:
         for a in self._node_order:
             for b in sorted(self.nodes[a].peers):
                 if a < b and ((a in side) != (b in side)):
-                    self._disconnect(a, b, refill=True)
+                    self._disconnect(a, b)
+
+    def isolate(self, side: set[str]) -> None:
+        """Perfect partition: sever every connection across `side` and veto dials across it."""
+        self.dial_veto = lambda a, b: (a in side) != (b in side)
+        self.sever_crossing(side)
 
     # ---- attacks ----
 
@@ -222,16 +226,10 @@ class Simulation:
         if kind == "partition" and ap.get("mode") == "perfect":
             side = set(targets)
 
-            def begin(sim: "Simulation") -> None:
-                sim._perfect_side = side
-                sim.dial_veto = lambda a, b: (a in side) != (b in side)
-                sim.sever_crossing(side)
-
             def lift(sim: "Simulation") -> None:
-                sim._perfect_side = None
                 sim.dial_veto = None
 
-            self.schedule_control(start, begin)
+            self.schedule_control(start, lambda sim: sim.isolate(side))
             if end is not None:
                 self.schedule_control(float(end), lift)
         elif kind == "partition":
@@ -239,17 +237,14 @@ class Simulation:
             if announced is None:
                 announced = planner.cover_nodes(self.topo, targets)
             else:
-                announced = [
-                    (p.rsplit("/", 1)[0], int(p.rsplit("/", 1)[1])) if isinstance(p, str) else tuple(p)
-                    for p in announced
-                ]
+                announced = [(base, int(length)) for base, length in (p.split("/") for p in announced)]
             attacker_as = int(ap["attacker_as"])
             active_at = start + self.params.convergence_delay
 
             def activate(sim: "Simulation") -> None:
                 sim._coverage = tp.hijack_coverage(sim.topo, announced, attacker_as, sim.seed)
                 sim.partition_attacker = PartitionAttacker(targets, sim.params.threshold, sim.now)
-                sim._push(sim.now + SWEEP_INTERVAL, "sweep", None)
+                sim._push(sim.now + SWEEP_INTERVAL, Simulation._ev_sweep, ())
 
             def deactivate(sim: "Simulation") -> None:
                 if sim.partition_attacker is not None:
@@ -261,9 +256,12 @@ class Simulation:
                 self.schedule_control(float(end), deactivate)
         elif kind == "delay":
             if "coalition" in ap:
+                coalition = ap["coalition"]
+                if isinstance(coalition, str):
+                    coalition = self.topo.graph.ases_of_country(coalition)
                 self.delay_attacker = DelayAttacker(
                     mode="network",
-                    coalition=frozenset(tp.resolve_coalition(self.topo, ap["coalition"])),
+                    coalition=frozenset(coalition),
                     topo=self.topo,
                     seed=self.seed,
                 )
@@ -287,7 +285,7 @@ class Simulation:
             if isinstance(act, pr.Send):
                 self._send(nid, act.dst, act.msg)
             elif isinstance(act, pr.StartTimer):
-                self._push(act.deadline, "timeout", (nid, act.block_hash, act.deadline))
+                self._push(act.deadline, Simulation._ev_timeout, (nid, act.block_hash, act.deadline))
             elif isinstance(act, pr.Disconnect):
                 self._disconnect(nid, act.peer)
         node = self.nodes[nid]
@@ -300,7 +298,7 @@ class Simulation:
         if dst not in self.nodes[src].peers:
             return
         if dst in self.topo.fabric_of(src):
-            self._push(self.now, "deliver", (src, dst, msg))
+            self._push(self.now, Simulation._ev_deliver, (src, dst, msg))
             return
         src_as = self.topo.nodes[src].home_as
         dst_as = self.topo.nodes[dst].home_as
@@ -319,7 +317,7 @@ class Simulation:
                 hops = len(path) if path else 1
                 self._path_len[key] = hops
         delay = self.params.base_delay + self.params.per_hop_delay * (hops - 1)
-        self._push(self.now + delay, "deliver", (src, dst, msg))
+        self._push(self.now + delay, Simulation._ev_deliver, (src, dst, msg))
 
     def _ev_deliver(self, src: str, dst: str, msg) -> None:
         node = self.nodes[dst]
@@ -356,18 +354,15 @@ class Simulation:
         parent = self.nodes[inserted[0]].chain.tip
         block = pr.make_block(parent, miner, self._next_index, self.now)
         self._next_index += 1
-        self.mined.append(MinedBlock(self.now, block, miner, tuple(inserted)))
+        self.mined.append(MinedBlock(self.now, block, miner))
         self.last_mine_time = self.now
         if self.partition_attacker is not None and self._coverage is not None:
             self.partition_attacker.register_block(block.hash, set(inserted), self.now)
         for nid in inserted:
             self._execute(nid, self.nodes[nid].accept_block(block, self.now))
         if self._blocks_left > 0:
-            self._push(
-                self.now + self.rng_mine.expovariate(1.0 / self.params.block_interval_mean),
-                "mine",
-                None,
-            )
+            self._push(self.now + self.rng_mine.expovariate(1.0 / self.params.block_interval_mean),
+                       Simulation._ev_mine, ())
         elif self.horizon is None:
             self.horizon = self.now + self.params.drain_time
 
@@ -383,21 +378,12 @@ class Simulation:
         # tx_getdata_rate is per connection; the node-level process is the
         # superposition over however many peers it has right now
         rate = self.params.tx_getdata_rate * max(len(peers), 1)
-        self._push(self.now + rng.expovariate(rate), "txreq", nid)
+        self._push(self.now + rng.expovariate(rate), Simulation._ev_txreq, (nid,))
 
     def _ev_churn(self, nid: str) -> None:
         node = self.nodes[nid]
         for peer in sorted(node.peers):
-            other = self.nodes[peer]
-            lost_out = nid in other.outgoing
-            node.on_disconnect(peer)
-            other.on_disconnect(nid)
-            if self.delay_attacker is not None:
-                self.delay_attacker.on_disconnect(nid, peer)
-                self.delay_attacker.on_disconnect(peer, nid)
-            self.disconnects += 1
-            if lost_out and len(other.outgoing) < self.params.outgoing_target:
-                self._dial(peer, exclude=frozenset({nid}))
+            self._disconnect(nid, peer, refill_a=False)  # the rebooted node redials below
         node.pending.clear()
         node.advertisers.clear()
         for g in sorted(self.topo.fabric_of(nid)):
@@ -406,25 +392,24 @@ class Simulation:
         for _ in range(self.params.outgoing_target):
             if not self._dial(nid):
                 break
-        self._push(
-            self.now + self._churn_rng[nid].expovariate(1.0 / self._lifetime[nid]),
-            "churn",
-            nid,
-        )
+        self._push(self.now + self._churn_rng[nid].expovariate(1.0 / self._lifetime[nid]),
+                   Simulation._ev_churn, (nid,))
 
     def _ev_sweep(self) -> None:
         if self.partition_attacker is not None and self._coverage is not None:
             self.partition_attacker.sweep(self.now)
-            self._push(self.now + SWEEP_INTERVAL, "sweep", None)
+            self._push(self.now + SWEEP_INTERVAL, Simulation._ev_sweep, ())
 
     # ---- main loop ----
 
     def _schedule_initial(self) -> None:
         if self._blocks_left > 0:
-            self._push(self.rng_mine.expovariate(1.0 / self.params.block_interval_mean), "mine", None)
+            self._push(self.rng_mine.expovariate(1.0 / self.params.block_interval_mean),
+                       Simulation._ev_mine, ())
         if self.params.tx_getdata_rate > 0:
             for nid in self._node_order:
-                self._push(self._tx_rng[nid].expovariate(self.params.tx_getdata_rate), "txreq", nid)
+                self._push(self._tx_rng[nid].expovariate(self.params.tx_getdata_rate),
+                           Simulation._ev_txreq, (nid,))
         churn = self.params.churn or {}
         if churn.get("enabled"):
             table = churn.get("lifetime_table") or [[1.0, 86_400.0]]
@@ -438,33 +423,20 @@ class Simulation:
                         mean = m
                         break
                 self._lifetime[nid] = float(mean)
-                self._push(rng.expovariate(1.0 / mean), "churn", nid)
+                self._push(rng.expovariate(1.0 / mean), Simulation._ev_churn, (nid,))
 
     def run(self) -> RunResult:
         self._install_attack()
         self._setup_connections()
         self._schedule_initial()
         while self._heap:
-            when, _, kind, payload = heapq.heappop(self._heap)
+            when, _, handler, args = heapq.heappop(self._heap)
             if when < self.now:
-                raise RuntimeError(f"simulated time ran backwards: {kind} event at {when} < {self.now}")
+                raise RuntimeError(f"simulated time ran backwards: {handler.__name__} at {when} < {self.now}")
             if self.horizon is not None and when > self.horizon:
                 break
             self.now = when
-            if kind == "deliver":
-                self._ev_deliver(*payload)
-            elif kind == "timeout":
-                self._ev_timeout(*payload)
-            elif kind == "mine":
-                self._ev_mine()
-            elif kind == "txreq":
-                self._ev_txreq(payload)
-            elif kind == "churn":
-                self._ev_churn(payload)
-            elif kind == "control":
-                payload(self)
-            elif kind == "sweep":
-                self._ev_sweep()
+            handler(self, *args)
         report = None
         if self.partition_attacker is not None:
             self.partition_attacker.sweep(self.now)
@@ -489,10 +461,9 @@ class Simulation:
 # -- experiment drivers ------------------------------------------------------------
 
 
-def run_scenario(raw, seed: int, overrides: dict | None = None,
-                 attack="scenario", end_time: float | None = None) -> RunResult:
+def run_scenario(raw, seed: int, overrides: dict | None = None, end_time: float | None = None) -> RunResult:
     topo = raw if isinstance(raw, tp.Topology) else tp.load_topology(raw)
-    return Simulation(topo, seed, overrides, attack, end_time).run()
+    return Simulation(topo, seed, overrides, topo.attack, end_time).run()
 
 
 def worker_count(n_tasks: int) -> int:
@@ -551,7 +522,7 @@ def run_healing(raw, seed: int, onpath: float = 0.0, overrides: dict | None = No
     side = set(topo.attack["target"])
     result = HealResult(seed=seed, onpath=onpath, baseline=0.0)
     end = HEAL_WARMUP + HEAL_ATTACK + HEAL_WATCH + 1.0
-    sim = Simulation(topo, seed, overrides, attack=None, end_time=end)
+    sim = Simulation(topo, seed, overrides, end_time=end)
 
     verdicts: dict[tuple[str, str], bool] = {}
 
@@ -567,10 +538,6 @@ def run_healing(raw, seed: int, onpath: float = 0.0, overrides: dict | None = No
     def measure_baseline(s: Simulation) -> None:
         result.baseline = s.cross_fraction(side)
 
-    def begin(s: Simulation) -> None:
-        s.dial_veto = lambda a, b: (a in side) != (b in side)
-        s.sever_crossing(side)
-
     def lift(s: Simulation) -> None:
         if onpath > 0.0:
             s.dial_veto = lambda a, b: ((a in side) != (b in side)) and suppressed(a, b)
@@ -581,7 +548,7 @@ def run_healing(raw, seed: int, onpath: float = 0.0, overrides: dict | None = No
         result.samples.append((s.now - HEAL_WARMUP - HEAL_ATTACK, s.cross_fraction(side)))
 
     sim.schedule_control(HEAL_WARMUP - 1.0, measure_baseline)
-    sim.schedule_control(HEAL_WARMUP, begin)
+    sim.schedule_control(HEAL_WARMUP, lambda s: s.isolate(side))
     lift_at = HEAL_WARMUP + HEAL_ATTACK
     sim.schedule_control(lift_at, lift)
     t = lift_at + HEAL_SAMPLE_EVERY

@@ -129,11 +129,10 @@ class MetricsReport:
         return rows
 
 
-def summarize(run, uninformed_pairs=None) -> MetricsReport:
+def summarize(run) -> MetricsReport:
     """Distill one run into a MetricsReport.
 
-    `uninformed_pairs` maps victim node id -> reference node id; when omitted
-    and the run carried a single-victim delay attack, the victim is compared
+    When the run carried a single-victim delay attack, the victim is compared
     against a node literally named "ref" if the scenario ships one.
     """
     observer = run.nodes[min(run.nodes)]
@@ -147,17 +146,12 @@ def summarize(run, uninformed_pairs=None) -> MetricsReport:
         if mb.block.hash in on_chain:
             blocks_in_chain[mb.miner] = blocks_in_chain.get(mb.miner, 0) + 1
 
-    if uninformed_pairs is None:
-        uninformed_pairs = {}
-        da = run.delay_attacker
-        if da is not None and da.mode == "node" and da.victim and "ref" in run.nodes:
-            uninformed_pairs = {da.victim: "ref"}
-    uninformed = {
-        victim: uninformed_fraction(
-            run.tip_series[victim], run.tip_series[reference], run.last_mine_time
+    uninformed = {}
+    da = run.delay_attacker
+    if da is not None and da.mode == "node" and da.victim and "ref" in run.nodes:
+        uninformed[da.victim] = uninformed_fraction(
+            run.tip_series[da.victim], run.tip_series["ref"], run.last_mine_time
         )
-        for victim, reference in uninformed_pairs.items()
-    }
 
     partition = None
     if run.partition_attacker is not None:

@@ -158,7 +158,6 @@ class ChainView:
 class Pending:
     peer: str
     deadline: float
-    requested_at: float
 
 
 @dataclass
@@ -214,7 +213,7 @@ class Node:
         self._outgoing.discard(peer)
 
     def _request(self, h: bytes, peer: str, now: float) -> list:
-        self.pending[h] = Pending(peer, now + BLOCK_REQUEST_TIMEOUT, now)
+        self.pending[h] = Pending(peer, now + BLOCK_REQUEST_TIMEOUT)
         return [
             Send(peer, GetDataMsg([(wire.INV_BLOCK, h)])),
             StartTimer(h, now + BLOCK_REQUEST_TIMEOUT),

@@ -632,6 +632,17 @@ def _check_attack(attack, nodes: dict, countries: dict[int, str]) -> None:
         _require(isinstance(attacker, int) and not isinstance(attacker, bool),
                  "attack.params.attacker_as", f"a hijack needs an integer AS, got {attacker!r}")
         _require(attacker in countries, "attack.params.attacker_as", f"unknown AS {attacker}")
+        announced = ap.get("announced", [])
+        _require(isinstance(announced, list), "attack.params.announced",
+                 "must be a list of a.b.c.d/len strings")
+        for i, p in enumerate(announced):
+            try:  # what Coverage accepts: a strict network (no host bits), written with a prefix length
+                ok = (isinstance(p, str) and p.partition("/")[2].isdigit()
+                      and ipaddress.IPv4Network(p).prefixlen <= 24)
+            except ValueError:
+                ok = False
+            _require(ok, f"attack.params.announced[{i}]",
+                     f"must be a network a.b.c.d/len with no host bits set, at most /24, got {p!r}")
     if kind == "delay":
         _require("coalition" in ap or targets, "attack.target",
                  "a delay attack needs a victim or params.coalition")
@@ -669,13 +680,3 @@ def _check_provider_acyclic(providers: dict[int, set[int]]) -> None:
     for a in providers:
         if state.get(a) != 2:
             visit(a, [a])
-
-
-def resolve_coalition(topo: Topology, coalition) -> set[int]:
-    """Accept either a list of AS ids or a country code."""
-    if isinstance(coalition, (list, set, tuple)):
-        return set(coalition)
-    ases = topo.graph.ases_of_country(str(coalition))
-    if not ases:
-        raise ScenarioError(f"attack.coalition: no AS belongs to country {coalition!r}")
-    return ases

@@ -267,6 +267,9 @@ def test_node_mode_interception_bookkeeping():
     assert adv.DelayAttacker(victim="v", interception=0.8).target_count == 6
     assert not a.intercepts("v", "p9") and a.intercepts("v", "p8")
     assert not a.intercepts("p8", "v")  # outgoing mode tampers one direction
+    a._stash[("v", "p2")] = a._stash[("p2", "v")] = adv._Stash(b"h" * 32, expires=1.0)
+    a.on_disconnect("p2", "v")  # the victim may be either end of the closed connection
+    assert "p2" not in a.intercepted and not a._stash
 
 
 def test_network_mode_follows_as_paths_and_spares_pool_fabric():

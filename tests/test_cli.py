@@ -1,5 +1,6 @@
 """Command-line front-end: exit codes, artifact shapes, reproducibility."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from btcrs import cli
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 PAPERLIKE = str(SCENARIOS / "paperlike.scn")
 DELAYNODE = str(SCENARIOS / "delaynode.scn")
+TWOHALVES = str(SCENARIOS / "twohalves.scn")
 
 
 def run_cli(*argv):
@@ -177,6 +179,17 @@ def test_delay_node_interception_outside_unit_interval_is_usage_error(fractions)
     assert run_cli("delay-node", "--scenario", DELAYNODE, "--interception", fractions) == 2
 
 
+@pytest.mark.parametrize("where", ["attack", "attack.params"])
+def test_delay_node_validates_the_attack_before_reading_it(tmp_path, capsys, where):
+    raw = json.loads(Path(DELAYNODE).read_text())
+    owner = raw if where == "attack" else raw["attack"]
+    owner[where.rsplit(".", 1)[-1]] = [1]
+    bad = tmp_path / "bad.scn"
+    bad.write_text(json.dumps(raw))
+    assert run_cli("delay-node", "--scenario", str(bad), "--seeds", "0", "--interception", "0") == 3
+    assert f"{where}: must be an object" in capsys.readouterr().err
+
+
 def test_multihoming_sweep_row_grid(tmp_path):
     out = tmp_path / "mh.csv"
     assert run_cli("multihoming-sweep", "--scenario", PAPERLIKE, "--degrees", "1,3",
@@ -206,3 +219,39 @@ def test_heal_reports_ratios(tmp_path):
     assert body["onpath"] == 0.3
     assert len(body["results"]) == 2
     assert 0 <= body["mean_final_ratio"] <= 2
+
+
+# ---------------------------------------------------------------- byte identity --
+
+# SHA-256 of each artifact as written with BTCRS_THREADS=1.  A change to any
+# output byte of these commands fails here; re-pin only a change that means
+# to alter output, and say why.
+PINNED_ARTIFACTS = {
+    ("run", "--scenario", PAPERLIKE, "--seeds", "0..1"):
+        "36da1fd1d196fbb178b2979610d083a08cdb6016b46489a78479147165977108",
+    ("run", "--scenario", PAPERLIKE, "--seeds", "0", "--format", "csv"):
+        "289cbb38cf24486dad8c3e359e5627b31fdb9035580f5c9c13249d9f30d1bd54",
+    ("run", "--scenario", DELAYNODE, "--seeds", "0..1"):
+        "ce838ce18bc7ed191b81852a58bb381ba274322c70c9efbdf58e6842c463962c",
+    ("run", "--scenario", TWOHALVES, "--seeds", "0"):
+        "9da618f47fbec42ac858310d47522f286f5e9668056fe6b898aadc2480841339",
+    ("heal", "--scenario", TWOHALVES, "--seeds", "0", "--onpath", "0.3"):
+        "cb7f10a4ba5d0398c7c23aba47403375c5389c49955535e82996fb7926c5290f",
+    ("delay-node", "--scenario", DELAYNODE, "--seeds", "0", "--interception", "0,1"):
+        "b23936afc3b17877671ca96fcb09498820624f94fc022b978536bf06f86ec169",
+    ("multihoming-sweep", "--scenario", PAPERLIKE, "--seeds", "0", "--degrees", "1,3", "--coalition", "US"):
+        "38d30e840d4ff618903888db3442dee13ce2b60d5d0e4d20187644002c6e61d6",
+    ("plan-partition", "--scenario", PAPERLIKE, "--power", "0:1"):
+        "688260dc3502e73530158198fbaf9dd1d7093486737ed8793f5bf785c7f17ffd",
+}
+
+
+def test_cli_artifacts_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.setenv("BTCRS_THREADS", "1")
+    changed = []
+    for i, (argv, digest) in enumerate(PINNED_ARTIFACTS.items()):
+        out = tmp_path / f"artifact{i}"
+        assert run_cli(*argv, "--out", str(out)) == 0, argv
+        if hashlib.sha256(out.read_bytes()).hexdigest() != digest:
+            changed.append(" ".join(argv[:1] + argv[3:]))
+    assert changed == []

@@ -259,6 +259,10 @@ def test_load_minimal_scenario():
          "attack.params.restore_margin"),
         ({"attack": {"kind": "delay", "target": ["n1"], "params": {"direction": "sideways"}}},
          "attack.params.direction"),
+        *(({"attack": {"kind": "partition", "target": ["n1"],
+                       "params": {"attacker_as": 2, "announced": ["10.1.0.0/16", bad]}}},
+           "attack.params.announced[1]")
+          for bad in ("1.0.0.1/17", "1.0.0.0/x", "1.0.0.0/25", ["1.0.0.0", 17])),
     ],
 )
 def test_scenario_validation_errors(mutation, fragment):
