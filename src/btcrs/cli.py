@@ -4,7 +4,7 @@ Each subcommand loads a scenario, fans the runs out over a seed range, and
 writes one deterministic artifact (JSON or CSV): re-running with identical
 flags reproduces identical bytes.  Every artifact embeds the scenario's
 config digest so result tables stay traceable to their inputs.  The env var
-BTCRS_THREADS caps the number of seed workers.
+BTCRS_THREADS, a positive integer, caps the number of seed workers.
 """
 
 from __future__ import annotations
@@ -134,10 +134,15 @@ def _cmd_plan_partition(args) -> int:
 
 
 def _cmd_heal(args) -> int:
+    if not 0 <= args.onpath <= 1:
+        raise _CliError(USAGE_ERR, f"bad --onpath {args.onpath!r}: must be a fraction in [0, 1]")
     raw = _load_scenario(args.scenario)
     overrides = _parse_overrides(args.set)
     seeds = _parse_seeds(args.seeds)
-    digest = _load_topology(raw, overrides).config_digest()
+    topo = _load_topology(raw, overrides)
+    if not topo.attack or topo.attack.get("kind") != "partition" or not topo.attack.get("target"):
+        raise _CliError(SCENARIO_ERR, "heal needs a scenario with a partition attack on a non-empty target")
+    digest = topo.config_digest()
     results = engine.run_healing_seeds(raw, seeds, args.onpath, overrides)
     results.sort(key=lambda r: r.seed)
     body = {
@@ -187,6 +192,8 @@ def _cmd_multihoming_sweep(args) -> int:
         degrees = [int(x) for x in args.degrees.split(",")]
     except ValueError:
         raise _CliError(USAGE_ERR, f"bad --degrees {args.degrees!r}: expected comma-separated integers") from None
+    if min(degrees) < 1:
+        raise _CliError(USAGE_ERR, f"bad --degrees {args.degrees!r}: a pool is hosted in at least 1 AS")
     rows = []
     for d in degrees:
         scn = synth.adjust_pool_degree(raw, d)
@@ -250,6 +257,10 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        try:
+            engine.thread_cap()
+        except ValueError as exc:
+            raise _CliError(USAGE_ERR, str(exc)) from None
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

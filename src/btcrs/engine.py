@@ -1,9 +1,10 @@
 """Deterministic event-driven simulation of Bitcoin gossip over an AS topology.
 
-A single heap orders deliveries, mining, request timeouts, background
-transaction chatter, churn reboots and attack control; each entry carries
-the function that handles it, and ties break on insertion order, so a
-(scenario, seed) pair always replays identically.
+One queue orders deliveries, mining, request timeouts, background
+transaction chatter, churn reboots and attack control: a heap of distinct
+times, each with a FIFO list of the events due then.  Each event carries the
+function that handles it, and events at one time run in insertion order, so
+a (scenario, seed) pair always replays identically.
 Latency between two nodes is `base_delay` plus `per_hop_delay` for every
 inter-AS hop of the policy-compliant route; members of the same pool fabric
 exchange messages instantly and invisibly to any on-path attacker.
@@ -47,7 +48,6 @@ class RunResult:
     delay_attacker: DelayAttacker | None
     dials: int
     disconnects: int
-    end_time: float
 
 
 def _slash16(ip: str) -> str:
@@ -66,8 +66,8 @@ class Simulation:
         self.seed = seed
         self.params = tp.SimParams.from_mapping(merged)
         self.now = 0.0
-        self._heap: list = []
-        self._seq = 0
+        self._times: list[float] = []  # heap of the distinct times in `_buckets`
+        self._buckets: dict[float, list[tuple]] = {}  # time -> [(handler, args)] in push order
         self.nodes = {nid: pr.Node(nid) for nid in sorted(topo.nodes)}
         self._node_order = sorted(topo.nodes)
         self.rng_mine = random.Random(f"{seed}:mine")
@@ -75,7 +75,9 @@ class Simulation:
         self._tx_rng = {n: random.Random(f"{seed}:tx:{n}") for n in self._node_order}
         self._churn_rng = {n: random.Random(f"{seed}:churn:{n}") for n in self._node_order}
         self._lifetime: dict[str, float] = {}
-        self._path_len: dict[tuple[int, int], int] = {}
+        self._home_as = {n: topo.nodes[n].home_as for n in self._node_order}
+        self._fabric = {n: f for n in self._node_order if (f := topo.fabric_of(n))}  # gateways only
+        self._delay: dict[tuple[int, int], float] = {}  # (src AS, dst AS) -> one-way delay
         self._routable_cache: dict[tuple[int, int], bool] = {}
         self._ip16 = {n: _slash16(topo.nodes[n].ip) for n in self._node_order}
         self.dial_veto = None  # callable(a, b) -> True to refuse the dial
@@ -101,8 +103,11 @@ class Simulation:
 
     def _push(self, when: float, handler, args: tuple) -> None:
         """Schedule `handler(self, *args)`; `handler` is a plain function, not a bound method."""
-        heapq.heappush(self._heap, (when, self._seq, handler, args))
-        self._seq += 1
+        try:
+            self._buckets[when].append((handler, args))
+        except KeyError:
+            self._buckets[when] = [(handler, args)]
+            heapq.heappush(self._times, when)
 
     def schedule_control(self, when: float, fn) -> None:
         self._push(when, fn, ())
@@ -110,7 +115,7 @@ class Simulation:
     # ---- connections ----
 
     def _routable(self, a: str, b: str) -> bool:
-        pa, pb = self.topo.nodes[a].home_as, self.topo.nodes[b].home_as
+        pa, pb = self._home_as[a], self._home_as[b]
         if pa == pb:
             return True
         hit = self._routable_cache.get((pa, pb))
@@ -282,11 +287,12 @@ class Simulation:
 
     def _execute(self, nid: str, actions) -> None:
         for act in actions:
-            if isinstance(act, pr.Send):
+            kind = type(act)
+            if kind is pr.Send:
                 self._send(nid, act.dst, act.msg)
-            elif isinstance(act, pr.StartTimer):
+            elif kind is pr.StartTimer:
                 self._push(act.deadline, Simulation._ev_timeout, (nid, act.block_hash, act.deadline))
-            elif isinstance(act, pr.Disconnect):
+            elif kind is pr.Disconnect:
                 self._disconnect(nid, act.peer)
         node = self.nodes[nid]
         series = self.tip_series[nid]
@@ -294,40 +300,55 @@ class Simulation:
         if height != series[-1][1]:
             series.append((self.now, height))
 
-    def _send(self, src: str, dst: str, msg) -> None:
-        if dst not in self.nodes[src].peers:
-            return
-        if dst in self.topo.fabric_of(src):
-            self._push(self.now, Simulation._ev_deliver, (src, dst, msg))
-            return
-        src_as = self.topo.nodes[src].home_as
-        dst_as = self.topo.nodes[dst].home_as
-        if self._coverage is not None and self._coverage.diverted(dst, src_as):
-            if not self.partition_attacker.tick(src, dst, msg, self.now):
-                return
-        if self.delay_attacker is not None and self.delay_attacker.intercepts(src, dst):
-            msg = self.delay_attacker.transform(src, dst, msg, self.now)
+    def _as_delay(self, src_as: int, dst_as: int) -> float:
         if src_as == dst_as:
             hops = 1
         else:
-            key = (src_as, dst_as)
-            hops = self._path_len.get(key)
-            if hops is None:
-                path = self.topo.forwarding.path(src_as, dst_as)
-                hops = len(path) if path else 1
-                self._path_len[key] = hops
-        delay = self.params.base_delay + self.params.per_hop_delay * (hops - 1)
-        self._push(self.now + delay, Simulation._ev_deliver, (src, dst, msg))
+            path = self.topo.forwarding.path(src_as, dst_as)
+            hops = len(path) if path else 1
+        return self.params.base_delay + self.params.per_hop_delay * (hops - 1)
+
+    def _send(self, src: str, dst: str, msg) -> None:
+        if dst not in self.nodes[src].peers:
+            return
+        if src in self._fabric and dst in self._fabric[src]:
+            delay = 0.0
+        else:
+            src_as, dst_as = self._home_as[src], self._home_as[dst]
+            if self._coverage is not None and self._coverage.diverted(dst, src_as):
+                if not self.partition_attacker.tick(src, dst, msg, self.now):
+                    return
+            if self.delay_attacker is not None and self.delay_attacker.intercepts(src, dst):
+                msg = self.delay_attacker.transform(src, dst, msg, self.now)
+            try:
+                delay = self._delay[src_as, dst_as]
+            except KeyError:
+                delay = self._delay[src_as, dst_as] = self._as_delay(src_as, dst_as)
+        when = self.now + delay
+        if type(msg) is pr.InvMsg:
+            known = self.nodes[dst].chain.blocks
+            for _, h in msg.items:
+                if h not in known:
+                    break
+            else:
+                # on_inv skips a known hash and a node's blocks only grow, so this
+                # delivery would change nothing but the clock: queue its time alone
+                if when not in self._buckets:
+                    self._buckets[when] = []
+                    heapq.heappush(self._times, when)
+                return
+        self._push(when, Simulation._ev_deliver, (src, dst, msg))
 
     def _ev_deliver(self, src: str, dst: str, msg) -> None:
         node = self.nodes[dst]
         if src not in node.peers:
             return  # the connection died while the frame was in flight
-        if isinstance(msg, pr.InvMsg):
+        kind = type(msg)
+        if kind is pr.InvMsg:
             acts = node.on_inv(src, msg, self.now)
-        elif isinstance(msg, pr.GetDataMsg):
+        elif kind is pr.GetDataMsg:
             acts = node.on_getdata(src, msg, self.now)
-        elif isinstance(msg, pr.BlockMsg):
+        elif kind is pr.BlockMsg:
             acts = node.on_block(src, msg, self.now)
         else:  # pragma: no cover
             raise TypeError(f"unroutable message {msg!r}")
@@ -425,18 +446,27 @@ class Simulation:
                 self._lifetime[nid] = float(mean)
                 self._push(rng.expovariate(1.0 / mean), Simulation._ev_churn, (nid,))
 
+    def _run_queue(self) -> None:
+        """Run events in (time, push order) until the queue empties or passes the horizon."""
+        while self._times:
+            when = heapq.heappop(self._times)
+            bucket = self._buckets[when]
+            if when < self.now:
+                raise RuntimeError(f"simulated time ran backwards: {bucket[0][0].__name__} at {when} < {self.now}")
+            if self.horizon is not None and when > self.horizon:
+                break
+            self.now = when
+            # handlers may append to this bucket, and a list iterator also yields
+            # what is appended mid-loop: an event pushed for `now` runs after the rest
+            for handler, args in bucket:
+                handler(self, *args)
+            del self._buckets[when]
+
     def run(self) -> RunResult:
         self._install_attack()
         self._setup_connections()
         self._schedule_initial()
-        while self._heap:
-            when, _, handler, args = heapq.heappop(self._heap)
-            if when < self.now:
-                raise RuntimeError(f"simulated time ran backwards: {handler.__name__} at {when} < {self.now}")
-            if self.horizon is not None and when > self.horizon:
-                break
-            self.now = when
-            handler(self, *args)
+        self._run_queue()
         report = None
         if self.partition_attacker is not None:
             self.partition_attacker.sweep(self.now)
@@ -454,7 +484,6 @@ class Simulation:
             delay_attacker=self.delay_attacker,
             dials=self.dials,
             disconnects=self.disconnects,
-            end_time=self.now,
         )
 
 
@@ -466,11 +495,22 @@ def run_scenario(raw, seed: int, overrides: dict | None = None, end_time: float 
     return Simulation(topo, seed, overrides, topo.attack, end_time).run()
 
 
+def thread_cap() -> int | None:
+    """The worker cap set by BTCRS_THREADS, or None when it is unset or empty."""
+    text = os.environ.get("BTCRS_THREADS")
+    if not text:
+        return None
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"BTCRS_THREADS must be a positive integer, not {text!r}")
+    return cap
+
+
 def worker_count(n_tasks: int) -> int:
-    cap = os.environ.get("BTCRS_THREADS")
-    if cap:
-        return max(1, min(int(cap), n_tasks))
-    return max(1, min(os.cpu_count() or 1, n_tasks))
+    return max(1, min(thread_cap() or os.cpu_count() or 1, n_tasks))
 
 
 def _map_tasks(fn, tasks: list[tuple]) -> list:

@@ -221,6 +221,44 @@ def test_heal_reports_ratios(tmp_path):
     assert 0 <= body["mean_final_ratio"] <= 2
 
 
+def _small_halves(tmp_path, **attack):
+    from btcrs import synth
+    raw = synth.two_halves(n_nodes=40, n_as=4, seed=0)
+    raw["attack"].update(attack)
+    scn = tmp_path / "halves.scn"
+    scn.write_text(json.dumps(raw))
+    return str(scn)
+
+
+@pytest.mark.parametrize("which", ["paperlike", "delaynode", "empty-target"])
+def test_heal_needs_a_partition_attack_on_a_target(tmp_path, capsys, which):
+    scn = {"paperlike": PAPERLIKE, "delaynode": DELAYNODE}.get(which) or _small_halves(tmp_path, target=[])
+    assert run_cli("heal", "--scenario", scn, "--seeds", "0") == 3
+    assert "partition attack" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("onpath", ["7", "-0.1", "nan"])
+def test_heal_onpath_outside_unit_interval_is_usage_error(tmp_path, capsys, onpath):
+    assert run_cli("heal", "--scenario", _small_halves(tmp_path), "--seeds", "0", "--onpath", onpath) == 2
+    assert "--onpath" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- other usage errors --
+
+
+@pytest.mark.parametrize("threads", ["abc", "-3", "0"])
+def test_bad_thread_cap_is_usage_error(monkeypatch, capsys, threads):
+    monkeypatch.setenv("BTCRS_THREADS", threads)
+    assert run_cli("run", "--scenario", PAPERLIKE, "--seeds", "0") == 2
+    assert "BTCRS_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("degrees", ["0", "-2", "1,0"])
+def test_multihoming_degree_below_one_is_usage_error(capsys, degrees):
+    assert run_cli("multihoming-sweep", "--degrees", degrees, "--coalition", "US", "--seeds", "0") == 2
+    assert "--degrees" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- byte identity --
 
 # SHA-256 of each artifact as written with BTCRS_THREADS=1.  A change to any

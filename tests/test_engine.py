@@ -1,10 +1,13 @@
 """Event loop behaviour: determinism, dialing rules, churn, healing phases."""
 
 import copy
+import heapq
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btcrs import engine, synth
 from btcrs import topology as tp
@@ -47,7 +50,7 @@ def test_same_seed_same_run():
         (m.time, m.block.hash, m.miner) for m in b.mined
     ]
     assert a.tip_series == b.tip_series
-    assert (a.dials, a.disconnects, a.end_time) == (b.dials, b.disconnects, b.end_time)
+    assert (a.dials, a.disconnects) == (b.dials, b.disconnects)
 
 
 def test_different_seeds_differ():
@@ -71,6 +74,120 @@ def test_clock_never_runs_backwards():
     sim.schedule_control(50.0, lambda s: s.schedule_control(s.now - 1.0, lambda s: None))
     with pytest.raises(RuntimeError, match="ran backwards"):
         sim.run()
+
+
+# ---------------------------------------------------------------- event queue --
+
+
+class HeapSimulation(engine.Simulation):
+    """One `(when, seq, handler, args)` heap entry per event, and every INV delivered.
+
+    The reference that the timestamp buckets and the skipped INV deliveries
+    of `Simulation` must agree with.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._heap = []
+        self._seq = 0
+
+    def _push(self, when, handler, args):
+        heapq.heappush(self._heap, (when, self._seq, handler, args))
+        self._seq += 1
+
+    def _send(self, src, dst, msg):
+        if dst not in self.nodes[src].peers:
+            return
+        if dst in self.topo.fabric_of(src):
+            self._push(self.now, engine.Simulation._ev_deliver, (src, dst, msg))
+            return
+        src_as = self.topo.nodes[src].home_as
+        dst_as = self.topo.nodes[dst].home_as
+        if self._coverage is not None and self._coverage.diverted(dst, src_as):
+            if not self.partition_attacker.tick(src, dst, msg, self.now):
+                return
+        if self.delay_attacker is not None and self.delay_attacker.intercepts(src, dst):
+            msg = self.delay_attacker.transform(src, dst, msg, self.now)
+        path = self.topo.forwarding.path(src_as, dst_as) if src_as != dst_as else None
+        hops = len(path) if path else 1
+        delay = self.params.base_delay + self.params.per_hop_delay * (hops - 1)
+        self._push(self.now + delay, engine.Simulation._ev_deliver, (src, dst, msg))
+
+    def _run_queue(self):
+        while self._heap:
+            when, _, handler, args = heapq.heappop(self._heap)
+            if when < self.now:
+                raise RuntimeError(f"simulated time ran backwards: {handler.__name__}")
+            if self.horizon is not None and when > self.horizon:
+                break
+            self.now = when
+            handler(self, *args)
+
+
+def _run_state(cls, topo, seed, overrides=None):
+    sim = cls(topo, seed, overrides, topo.attack)
+    res = sim.run()
+    return {
+        "now": sim.now,
+        "mined": [(m.time, m.block.hash, m.miner) for m in res.mined],
+        "tip_series": res.tip_series,
+        "dials": res.dials,
+        "disconnects": res.disconnects,
+        "partition": res.partition and res.partition.to_dict(),
+        "tampering": res.delay_attacker and (res.delay_attacker.rewrites, res.delay_attacker.restores,
+                                             res.delay_attacker.corruptions),
+        "nodes": {nid: (n.chain.arrival, n.pending, n.advertisers) for nid, n in res.nodes.items()},
+    }
+
+
+def _assert_same_as_heap(raw, seed, overrides=None):
+    topo = tp.load_topology(raw)
+    assert _run_state(engine.Simulation, topo, seed, overrides) == _run_state(HeapSimulation, topo, seed, overrides)
+
+
+@st.composite
+def gossip_worlds(draw):
+    """Small worlds whose runs cover churn, pool fabrics, and both attack kinds."""
+    kind = draw(st.sampled_from(["halves", "hijack", "paperlike", "delay"]))
+    if kind in ("halves", "hijack"):
+        n_as = draw(st.sampled_from([4, 6, 8]))
+        raw = synth.two_halves(n_nodes=draw(st.integers(n_as, 60)), n_as=n_as, seed=draw(st.integers(0, 9)))
+        churn = draw(st.booleans())
+        raw["params"].update(blocks=draw(st.integers(1, 6)), block_interval_mean=120.0, drain_time=1500.0,
+                             churn={"enabled": churn, "lifetime_table": [[1.0, 900.0]]})
+        if kind == "hijack":
+            raw["attack"] = {"kind": "partition", "target": raw["attack"]["target"],
+                             "params": {"attacker_as": n_as + 2}}
+            # the partition report's final sweep reads the clock against `threshold`
+            raw["params"].update(convergence_delay=draw(st.sampled_from([0.0, 30.0])),
+                                 threshold=draw(st.sampled_from([60.0, 600.0])))
+        else:
+            del raw["attack"]
+    elif kind == "paperlike":
+        raw = synth.adjust_pool_degree(paperlike(), draw(st.sampled_from([1, 3])))
+        raw["params"]["blocks"] = draw(st.integers(1, 6))
+    else:
+        raw = synth.delay_node_scenario(n_relays=draw(st.integers(3, 8)))  # the relay ring needs 3
+        raw["attack"]["params"]["interception"] = draw(st.sampled_from([0.0, 0.5, 1.0]))
+        raw["params"]["blocks"] = draw(st.integers(1, 6))
+    return raw
+
+
+@settings(max_examples=60, deadline=None)
+@given(gossip_worlds(), st.integers(0, 2**16))
+def test_buckets_and_inv_skipping_equal_heap_reference(raw, seed):
+    _assert_same_as_heap(raw, seed)
+
+
+def test_lone_peer_of_the_sender_still_records_its_tip():
+    # in a line n1 - n2 - ... - n6 an end's only peer is the block's sender:
+    # accept_block returns no action there, yet the end's tip moves
+    conns = [["n1", "n2"], ["n2", "n3"], ["n3", "n4"], ["n4", "n5"], ["n5", "n6"]]
+    raw = tiny_world(connections=conns)
+    res = engine.run_scenario(raw, seed=1)
+    for end in ("n1", "n6"):
+        assert [h for _, h in res.tip_series[end]] == list(range(len(res.mined) + 1))
+    _assert_same_as_heap(raw, seed=1)
 
 
 # ---------------------------------------------------------------- connections --
