@@ -103,11 +103,12 @@ class Simulation:
 
     def _push(self, when: float, handler, args: tuple) -> None:
         """Schedule `handler(self, *args)`; `handler` is a plain function, not a bound method."""
-        try:
-            self._buckets[when].append((handler, args))
-        except KeyError:
+        bucket = self._buckets.get(when)
+        if bucket is None:
             self._buckets[when] = [(handler, args)]
             heapq.heappush(self._times, when)
+        else:
+            bucket.append((handler, args))
 
     def schedule_control(self, when: float, fn) -> None:
         self._push(when, fn, ())
@@ -450,17 +451,15 @@ class Simulation:
         """Run events in (time, push order) until the queue empties or passes the horizon."""
         while self._times:
             when = heapq.heappop(self._times)
-            bucket = self._buckets[when]
+            bucket = self._buckets.pop(when)
             if when < self.now:
                 raise RuntimeError(f"simulated time ran backwards: {bucket[0][0].__name__} at {when} < {self.now}")
             if self.horizon is not None and when > self.horizon:
                 break
             self.now = when
-            # handlers may append to this bucket, and a list iterator also yields
-            # what is appended mid-loop: an event pushed for `now` runs after the rest
+            # an event pushed for `now` lands in a fresh bucket that is popped next
             for handler, args in bucket:
                 handler(self, *args)
-            del self._buckets[when]
 
     def run(self) -> RunResult:
         self._install_attack()
@@ -500,13 +499,9 @@ def thread_cap() -> int | None:
     text = os.environ.get("BTCRS_THREADS")
     if not text:
         return None
-    try:
-        cap = int(text)
-    except ValueError:
-        cap = 0
-    if cap < 1:
+    if not text.isdecimal() or int(text) < 1:
         raise ValueError(f"BTCRS_THREADS must be a positive integer, not {text!r}")
-    return cap
+    return int(text)
 
 
 def worker_count(n_tasks: int) -> int:

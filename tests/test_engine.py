@@ -124,8 +124,8 @@ class HeapSimulation(engine.Simulation):
             handler(self, *args)
 
 
-def _run_state(cls, topo, seed, overrides=None):
-    sim = cls(topo, seed, overrides, topo.attack)
+def _run_state(cls, topo, seed):
+    sim = cls(topo, seed, attack=topo.attack)
     res = sim.run()
     return {
         "now": sim.now,
@@ -140,9 +140,9 @@ def _run_state(cls, topo, seed, overrides=None):
     }
 
 
-def _assert_same_as_heap(raw, seed, overrides=None):
+def _assert_same_as_heap(raw, seed):
     topo = tp.load_topology(raw)
-    assert _run_state(engine.Simulation, topo, seed, overrides) == _run_state(HeapSimulation, topo, seed, overrides)
+    assert _run_state(engine.Simulation, topo, seed) == _run_state(HeapSimulation, topo, seed)
 
 
 @st.composite
