@@ -4,7 +4,8 @@ One queue orders deliveries, mining, request timeouts, background
 transaction chatter, churn reboots and attack control: a heap of distinct
 times, each with a FIFO list of the events due then.  Each event carries the
 function that handles it, and events at one time run in insertion order, so
-a (scenario, seed) pair always replays identically.
+a (scenario, seed) pair always replays identically.  An INV whose every block
+its receiver already has is never delivered; only its time is queued.
 Latency between two nodes is `base_delay` plus `per_hop_delay` for every
 inter-AS hop of the policy-compliant route; members of the same pool fabric
 exchange messages instantly and invisibly to any on-path attacker.
