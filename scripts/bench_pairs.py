@@ -1,0 +1,113 @@
+#!/usr/bin/env python3
+"""Alternating benchmark pairs between two checkouts of btcrs.
+
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload gossip --pairs 10 --out BENCH_<n>.json
+
+Each pair runs `perfbench/run.py --workload W --seed I --trace 0` once in
+each checkout, one run after the other and never two at once.  The parent
+goes first in even pairs and the change first in odd ones, so a drift in the
+machine's speed falls on both sides alike; both runs of pair I use benchmark
+seed I, and every run takes the benchmark's own run length.  `--workload`
+may be repeated, and the pairs of every workload run in turn.
+
+The result is one JSON file: per workload and per `end_to_end` metric of the
+change's BENCHMARK.json, the value of every pair on each side, each side's
+median and quartiles, and `wins`, the number of pairs in which the change is
+better.  Each run's `correct` and `failed` are kept too.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
+    """One `--trace 0` run in `checkout`; returns its `environment` and result lines."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+    env = next((json.loads(ln.split(" ", 1)[1]) for ln in lines if ln.startswith("environment ")), {})
+    return {"environment": env, "result": json.loads(lines[-1])}
+
+
+def spread(values: list[float]) -> dict:
+    if len(values) > 1:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    else:
+        q1 = median = q3 = values[0]
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def workload_pairs(dirs: dict[str, Path], workload: str, pairs: int, metrics: list[dict]) -> dict:
+    runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+    for i in range(pairs):
+        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            t0 = time.perf_counter()
+            runs[side].append(run_once(dirs[side], workload, i))
+            res = runs[side][-1]["result"]
+            print(f"{workload} pair {i} {side}: seed_s {res['metrics']['seed_s']['value']:.4f} "
+                  f"correct {res['correct']} ({time.perf_counter() - t0:.0f} s wall)", file=sys.stderr)
+    out = {
+        "correct": {side: [r["result"]["correct"] for r in runs[side]] for side in SIDES},
+        "failed": {side: [r["result"]["failed"] for r in runs[side]] for side in SIDES},
+        "git_sha": {side: runs[side][0]["environment"].get("git_sha") for side in SIDES},
+        "metrics": {},
+    }
+    for metric in metrics:
+        name, lower = metric["name"], metric["better"] == "lower"
+        values = {side: [r["result"]["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
+        wins = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
+        out["metrics"][name] = {
+            "unit": metric["unit"],
+            "better": metric["better"],
+            "bound": metric.get("bound"),
+            **{side: {"values": values[side], **spread(values[side])} for side in SIDES},
+            "wins": wins,
+            "pairs": pairs,
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0], allow_abbrev=False)
+    p.add_argument("parent", type=Path, help="checkout of the parent commit")
+    p.add_argument("change", type=Path, help="checkout of the change")
+    p.add_argument("--workload", action="append", required=True)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--out", type=Path, required=True, help="JSON file to write, such as BENCH_<n>.json")
+    args = p.parse_args(argv)
+    if args.pairs < 1:
+        p.error("--pairs must be at least 1")
+    dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
+    record = {
+        "command": "perfbench/run.py --trace 0",
+        "pairs": args.pairs,
+        "order": "parent first in even pairs, change first in odd pairs; pair i uses --seed i",
+        "machine": {"python": platform.python_version(), "platform": platform.platform(),
+                    "processor": platform.processor() or platform.machine()},
+        "workloads": {w: workload_pairs(dirs, w, args.pairs, spec["end_to_end"])
+                      for w in args.workload},
+    }
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    for w, res in record["workloads"].items():
+        for name, m in res["metrics"].items():
+            print(f"{w} {name}: parent {m['parent']['median']:.4g} [{m['parent']['q1']:.4g}, "
+                  f"{m['parent']['q3']:.4g}]  change {m['change']['median']:.4g} [{m['change']['q1']:.4g}, "
+                  f"{m['change']['q3']:.4g}] {m['unit']}; change better in {m['wins']}/{m['pairs']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -288,14 +288,13 @@ class Simulation:
     # ---- event handlers ----
 
     def _execute(self, nid: str, actions) -> None:
-        for act in actions:
-            kind = type(act)
-            if kind is pr.Send:
-                self._send(nid, act.dst, act.msg)
-            elif kind is pr.StartTimer:
-                self._push(act.deadline, Simulation._ev_timeout, (nid, act.block_hash, act.deadline))
-            elif kind is pr.Disconnect:
-                self._disconnect(nid, act.peer)
+        for kind, what, arg in actions:
+            if kind == pr.SEND:
+                self._send(nid, what, arg)
+            elif kind == pr.TIMER:
+                self._push(arg, Simulation._ev_timeout, (nid, what, arg))
+            else:
+                self._disconnect(nid, what)
         node = self.nodes[nid]
         series = self.tip_series[nid]
         height = node.chain.tip.height
@@ -310,36 +309,50 @@ class Simulation:
             hops = len(path) if path else 1
         return self.params.base_delay + self.params.per_hop_delay * (hops - 1)
 
-    def _send(self, src: str, dst: str, msg) -> None:
-        if dst not in self.nodes[src].peers:
-            return
-        if src in self._fabric and dst in self._fabric[src]:
-            delay = 0.0
-        else:
-            src_as, dst_as = self._home_as[src], self._home_as[dst]
-            if self._coverage is not None and self._coverage.diverted(dst, src_as):
-                if not self.partition_attacker.tick(src, dst, msg, self.now):
-                    return
-            if self.delay_attacker is not None and self.delay_attacker.intercepts(src, dst):
-                msg = self.delay_attacker.transform(src, dst, msg, self.now)
-            try:
-                delay = self._delay[src_as, dst_as]
-            except KeyError:
-                delay = self._delay[src_as, dst_as] = self._as_delay(src_as, dst_as)
-        when = self.now + delay
-        if type(msg) is pr.InvMsg:
-            known = self.nodes[dst].chain.blocks
-            for _, h in msg.items:
-                if h not in known:
-                    break
+    def _send(self, src: str, dsts: list[str], msg) -> None:
+        """Send `msg` from `src` to each of `dsts`, in order; the only send path."""
+        nodes, buckets, times = self.nodes, self._buckets, self._times
+        peers = nodes[src].peers
+        fabric = self._fabric.get(src, ())
+        home_as, delays = self._home_as, self._delay
+        src_as = home_as[src]
+        coverage, partition, delayer = self._coverage, self.partition_attacker, self.delay_attacker
+        now = self.now
+        for dst in dsts:
+            if dst not in peers:
+                continue
+            out = msg
+            if dst in fabric:
+                when = now
             else:
-                # on_inv skips a known hash and a node's blocks only grow, so this
-                # delivery would change nothing but the clock: queue its time alone
-                if when not in self._buckets:
-                    self._buckets[when] = []
-                    heapq.heappush(self._times, when)
-                return
-        self._push(when, Simulation._ev_deliver, (src, dst, msg))
+                dst_as = home_as[dst]
+                if coverage is not None and coverage.diverted(dst, src_as):
+                    if not partition.tick(src, dst, msg, now):
+                        continue
+                if delayer is not None and delayer.intercepts(src, dst):
+                    out = delayer.transform(src, dst, msg, now)
+                delay = delays.get((src_as, dst_as))
+                if delay is None:
+                    delay = delays[src_as, dst_as] = self._as_delay(src_as, dst_as)
+                when = now + delay
+            bucket = buckets.get(when)
+            if type(out) is pr.InvMsg:
+                known = nodes[dst].chain.blocks
+                for _, h in out.items:
+                    if h not in known:
+                        break
+                else:
+                    # on_inv skips a known hash and a node's blocks only grow, so this
+                    # delivery would change nothing but the clock: queue its time alone
+                    if bucket is None:
+                        buckets[when] = []
+                        heapq.heappush(times, when)
+                    continue
+            if bucket is None:
+                buckets[when] = [(Simulation._ev_deliver, (src, dst, out))]
+                heapq.heappush(times, when)
+            else:
+                bucket.append((Simulation._ev_deliver, (src, dst, out)))
 
     def _ev_deliver(self, src: str, dst: str, msg) -> None:
         node = self.nodes[dst]
@@ -348,6 +361,8 @@ class Simulation:
         kind = type(msg)
         if kind is pr.InvMsg:
             acts = node.on_inv(src, msg, self.now)
+            if not acts:
+                return  # on_inv never moves the tip, so there is nothing to execute
         elif kind is pr.GetDataMsg:
             acts = node.on_getdata(src, msg, self.now)
         elif kind is pr.BlockMsg:
@@ -395,7 +410,7 @@ class Simulation:
         peers = sorted(node.peers)
         if peers:
             fake_tx = rng.randbytes(32)
-            self._send(nid, rng.choice(peers), pr.GetDataMsg([(wire.INV_TX, fake_tx)]))
+            self._send(nid, [rng.choice(peers)], pr.GetDataMsg([(wire.INV_TX, fake_tx)]))
         else:
             rng.randbytes(32)  # keep the stream aligned whether or not we sent
         # tx_getdata_rate is per connection; the node-level process is the

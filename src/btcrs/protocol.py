@@ -112,12 +112,6 @@ class ChainView:
         self.tip: Block = GENESIS
         self._waiting: dict[bytes, list[Block]] = {}  # parent hash -> orphaned children
 
-    def has(self, h: bytes) -> bool:
-        return h in self.blocks
-
-    def is_buffered(self, h: bytes) -> bool:
-        return any(b.hash == h for kids in self._waiting.values() for b in kids)
-
     def add(self, block: Block, now: float) -> list[Block]:
         """Insert if the parent is known; return every block that became connected."""
         if block.hash in self.blocks:
@@ -160,22 +154,9 @@ class Pending:
     deadline: float
 
 
-@dataclass
-class Send:
-    dst: str
-    msg: object
-
-
-@dataclass
-class StartTimer:
-    block_hash: bytes
-    deadline: float
-
-
-@dataclass
-class Disconnect:
-    peer: str
-    reason: str
+# Handlers return lists of 3-tuple actions for the engine to execute:
+# (SEND, [dst, ...], msg), (TIMER, block_hash, deadline) and (DROP, peer, None).
+SEND, TIMER, DROP = 0, 1, 2
 
 
 class Node:
@@ -205,7 +186,7 @@ class Node:
         else:
             self._outgoing.discard(peer)  # a re-added peer may have changed direction
         if self.chain.tip is not GENESIS:
-            return [Send(peer, block_inv(self.chain.tip.hash))]
+            return [(SEND, [peer], block_inv(self.chain.tip.hash))]
         return []
 
     def on_disconnect(self, peer: str) -> None:
@@ -213,18 +194,15 @@ class Node:
         self._outgoing.discard(peer)
 
     def _request(self, h: bytes, peer: str, now: float) -> list:
-        self.pending[h] = Pending(peer, now + BLOCK_REQUEST_TIMEOUT)
-        return [
-            Send(peer, GetDataMsg([(wire.INV_BLOCK, h)])),
-            StartTimer(h, now + BLOCK_REQUEST_TIMEOUT),
-        ]
+        deadline = now + BLOCK_REQUEST_TIMEOUT
+        self.pending[h] = Pending(peer, deadline)
+        return [(SEND, [peer], GetDataMsg([(wire.INV_BLOCK, h)])), (TIMER, h, deadline)]
 
     def on_inv(self, from_peer: str, msg: InvMsg, now: float) -> list:
         actions = []
+        blocks = self.chain.blocks
         for inv_type, h in msg.items:
-            if inv_type != wire.INV_BLOCK:
-                continue
-            if self.chain.has(h):
+            if inv_type != wire.INV_BLOCK or h in blocks:
                 continue
             ads = self.advertisers.setdefault(h, [])
             if from_peer not in ads:
@@ -236,21 +214,24 @@ class Node:
     def on_getdata(self, from_peer: str, msg: GetDataMsg, now: float) -> list:
         actions = []
         for inv_type, h in msg.items:
-            if inv_type == wire.INV_BLOCK and self.chain.has(h):
-                actions.append(Send(from_peer, BlockMsg(self.chain.blocks[h])))
+            if inv_type == wire.INV_BLOCK and h in self.chain.blocks:
+                actions.append((SEND, [from_peer], BlockMsg(self.chain.blocks[h])))
             # tx requests are background noise: nothing to serve
         return actions
 
     def accept_block(self, block: Block, now: float, exclude: str | None = None) -> list:
-        """Connect a block (and any buffered children), announcing the news."""
+        """Connect a block (and any buffered children), announcing each to every peer but `exclude`.
+
+        A held block needs no pending request and no advertisers, so both entries go.
+        """
         connected = self.chain.add(block, now)
         actions = []
         for blk in connected:
             self.pending.pop(blk.hash, None)
-            inv = block_inv(blk.hash)
-            for peer in sorted(self.peers):
-                if peer != exclude:
-                    actions.append(Send(peer, inv))
+            self.advertisers.pop(blk.hash, None)
+            peers = [p for p in sorted(self.peers) if p != exclude]
+            if peers:
+                actions.append((SEND, peers, block_inv(blk.hash)))
         return actions
 
     def on_block(self, from_peer: str, msg: BlockMsg, now: float) -> list:
@@ -259,15 +240,16 @@ class Node:
             # crucially, never re-requests — the pending entry keeps ticking.
             return []
         block = msg.block
-        if self.chain.has(block.hash):
+        blocks = self.chain.blocks
+        if block.hash in blocks:
             self.pending.pop(block.hash, None)
             return []
         self.pending.pop(block.hash, None)
         actions = self.accept_block(block, now, exclude=from_peer)
-        if not actions and not self.chain.has(block.hash):
+        if not actions and block.hash not in blocks:
             # parent unknown: block is parked; chase the parent hash
             parent = block.parent
-            if parent and not self.chain.has(parent) and parent not in self.pending:
+            if parent and parent not in blocks and parent not in self.pending:
                 ads = self.advertisers.setdefault(parent, [])
                 if from_peer not in ads:
                     ads.append(from_peer)
@@ -276,13 +258,13 @@ class Node:
 
     def on_timeout(self, h: bytes, deadline: float, now: float) -> list:
         entry = self.pending.get(h)
-        if entry is None or entry.deadline != deadline or self.chain.has(h):
+        if entry is None or entry.deadline != deadline or h in self.chain.blocks:
             return []
         del self.pending[h]
         slow = entry.peer
         actions: list = []
         if slow in self.peers:
-            actions.append(Disconnect(slow, "block request timed out"))
+            actions.append((DROP, slow, None))  # the request timed out
         for candidate in self.advertisers.get(h, []):
             if candidate != slow and candidate in self.peers:
                 actions.extend(self._request(h, candidate, now))

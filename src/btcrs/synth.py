@@ -253,6 +253,8 @@ def delay_node_scenario(n_relays: int = 8, seed: int = 1) -> dict:
     victim's first INV for any block arrives via the relay of the mining AS
     and the first-advertiser connection is uniform over the victim's peers.
     """
+    if n_relays < 3:
+        raise ValueError(f"n_relays must be at least 3 for the relay ring, not {n_relays}")
     del seed  # wiring is fully determined; kept for signature symmetry
     hub = 100
     relay_as = list(range(1, n_relays + 1))

@@ -289,10 +289,6 @@ class Coverage:
             covering = [(length, base) for net, mask, length, base in nets if ip & mask == net]
             self._best[node_id] = max(covering) if covering else None
 
-    def fully_diverted(self, node_id: str) -> bool:
-        best = self._best[node_id]
-        return best is not None and best[0] > self._topo.nodes[node_id].home_prefix.length
-
     def diverted(self, node_id: str, src_as: int) -> bool:
         pl = self._topo.nodes[node_id]
         if src_as == pl.home_as:

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from btcrs import engine, synth
+from btcrs import protocol as pr
+from btcrs import wire
 from btcrs import topology as tp
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -80,10 +82,10 @@ def test_clock_never_runs_backwards():
 
 
 class HeapSimulation(engine.Simulation):
-    """One `(when, seq, handler, args)` heap entry per event, and every INV delivered.
+    """One `(when, seq, handler, args)` heap entry per event, one message per send, and every INV delivered.
 
-    The reference that the timestamp buckets and the skipped INV deliveries
-    of `Simulation` must agree with.
+    The reference that the timestamp buckets, the batched destination walk
+    and the skipped INV deliveries of `Simulation` must agree with.
     """
 
     def __init__(self, *args, **kwargs):
@@ -95,11 +97,15 @@ class HeapSimulation(engine.Simulation):
         heapq.heappush(self._heap, (when, self._seq, handler, args))
         self._seq += 1
 
-    def _send(self, src, dst, msg):
+    def _send(self, src, dsts, msg):
+        for dst in dsts:
+            self._send_one(src, dst, msg)
+
+    def _send_one(self, src, dst, msg):
         if dst not in self.nodes[src].peers:
             return
         if dst in self.topo.fabric_of(src):
-            self._push(self.now, engine.Simulation._ev_deliver, (src, dst, msg))
+            self._push(self.now, HeapSimulation._deliver, (src, dst, msg))
             return
         src_as = self.topo.nodes[src].home_as
         dst_as = self.topo.nodes[dst].home_as
@@ -111,7 +117,14 @@ class HeapSimulation(engine.Simulation):
         path = self.topo.forwarding.path(src_as, dst_as) if src_as != dst_as else None
         hops = len(path) if path else 1
         delay = self.params.base_delay + self.params.per_hop_delay * (hops - 1)
-        self._push(self.now + delay, engine.Simulation._ev_deliver, (src, dst, msg))
+        self._push(self.now + delay, HeapSimulation._deliver, (src, dst, msg))
+
+    def _deliver(self, src, dst, msg):
+        """Every delivery to a live connection runs its handler and executes the result."""
+        node = self.nodes[dst]
+        if src in node.peers:
+            handler = {pr.InvMsg: node.on_inv, pr.GetDataMsg: node.on_getdata, pr.BlockMsg: node.on_block}
+            self._execute(dst, handler[type(msg)](src, msg, self.now))
 
     def _run_queue(self):
         while self._heap:
@@ -124,8 +137,24 @@ class HeapSimulation(engine.Simulation):
             handler(self, *args)
 
 
-def _run_state(cls, topo, seed):
+def _queued_by(sim, fn):
+    """Run `fn(sim)`; return (when, args) of every event it queued, in run order."""
+    if isinstance(sim, HeapSimulation):
+        seq = sim._seq
+        fn(sim)
+        return [(w, args) for w, s, _, args in sorted(sim._heap) if s >= seq]
+    sizes = {w: len(b) for w, b in sim._buckets.items()}
+    fn(sim)
+    return [(w, args) for w in sorted(sim._buckets) for _, args in sim._buckets[w][sizes.get(w, 0):]]
+
+
+def _run_state(cls, topo, seed, inject=None):
+    """The end state of a run; `inject` is (when, fn) to call fn(sim) at `when`, its pushes recorded."""
     sim = cls(topo, seed, attack=topo.attack)
+    pushed = []
+    if inject is not None:
+        when, fn = inject
+        sim.schedule_control(when, lambda s: pushed.extend(_queued_by(s, fn)))
     res = sim.run()
     return {
         "now": sim.now,
@@ -137,6 +166,7 @@ def _run_state(cls, topo, seed):
         "tampering": res.delay_attacker and (res.delay_attacker.rewrites, res.delay_attacker.restores,
                                              res.delay_attacker.corruptions),
         "nodes": {nid: (n.chain.arrival, n.pending, n.advertisers) for nid, n in res.nodes.items()},
+        "pushed": pushed,
     }
 
 
@@ -179,6 +209,25 @@ def test_buckets_and_inv_skipping_equal_heap_reference(raw, seed):
     _assert_same_as_heap(raw, seed)
 
 
+@settings(max_examples=60, deadline=None)
+@given(gossip_worlds(), st.integers(0, 2**16), st.data())
+def test_any_destination_list_is_walked_like_one_send_each(raw, seed, data):
+    # the handlers send only to peers, in sorted order; this reaches the walk's
+    # peer check and its order with non-peers, repeats and any order
+    topo = tp.load_topology(raw)
+    ids = sorted(topo.nodes)
+    src = data.draw(st.sampled_from(ids))
+    dsts = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=12))
+    when = data.draw(st.floats(0.0, 1500.0))
+    msg = pr.GetDataMsg([(wire.INV_TX, bytes(32))])
+
+    def inject(sim):
+        sim._send(src, dsts, msg)
+
+    assert (_run_state(engine.Simulation, topo, seed, (when, inject))
+            == _run_state(HeapSimulation, topo, seed, (when, inject)))
+
+
 def test_lone_peer_of_the_sender_still_records_its_tip():
     # in a line n1 - n2 - ... - n6 an end's only peer is the block's sender:
     # accept_block returns no action there, yet the end's tip moves
@@ -188,6 +237,22 @@ def test_lone_peer_of_the_sender_still_records_its_tip():
     for end in ("n1", "n6"):
         assert [h for _, h in res.tip_series[end]] == list(range(len(res.mined) + 1))
     _assert_same_as_heap(raw, seed=1)
+
+
+def test_held_blocks_keep_no_advertisers():
+    raw = synth.two_halves(n_nodes=60, n_as=6, seed=0)
+    del raw["attack"]
+    raw["params"].update(blocks=4, block_interval_mean=120.0, drain_time=1500.0)
+    res = engine.run_scenario(raw, seed=0)
+    assert len(res.mined) == 4
+    for node in res.nodes.values():
+        assert not any(h in node.chain.blocks for h in node.advertisers)
+
+
+@pytest.mark.parametrize("n_relays", [0, 1, 2])
+def test_delay_node_scenario_needs_three_relays(n_relays):
+    with pytest.raises(ValueError, match="n_relays"):
+        synth.delay_node_scenario(n_relays=n_relays)
 
 
 # ---------------------------------------------------------------- connections --

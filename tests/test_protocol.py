@@ -24,10 +24,16 @@ def chained(n, miner="m", start=0):
 
 
 def sends(actions, msg_type=None):
-    picked = [a for a in actions if isinstance(a, pr.Send)]
+    """One (dst, msg) pair per destination of every SEND action."""
+    picked = [(dst, msg) for kind, dsts, msg in actions if kind == pr.SEND for dst in dsts]
     if msg_type is not None:
-        picked = [a for a in picked if isinstance(a.msg, msg_type)]
+        picked = [(dst, msg) for dst, msg in picked if isinstance(msg, msg_type)]
     return picked
+
+
+def buffered(chain, h):
+    """Whether `h` waits in the orphan buffer for its parent."""
+    return any(b.hash == h for kids in chain._waiting.values() for b in kids)
 
 
 def test_genesis_is_fixed_point():
@@ -55,7 +61,7 @@ def test_orphans_wait_for_parent_then_cascade():
     b1, b2, b3 = chained(3)
     assert c.add(b3, 1.0) == []
     assert c.add(b2, 2.0) == []
-    assert c.is_buffered(b3.hash) and c.is_buffered(b2.hash)
+    assert buffered(c, b3.hash) and buffered(c, b2.hash)
     connected = c.add(b1, 3.0)
     assert [b.hash for b in connected] == [b1.hash, b2.hash, b3.hash]
     assert c.arrival[b3.hash] == 3.0  # connected, not received, time
@@ -78,9 +84,9 @@ def test_inv_requests_from_first_advertiser_only():
     b = pr.make_block(G, "a", 0, 5.0)
     acts = n.on_inv("p1", pr.block_inv(b.hash), 5.0)
     gd = sends(acts, pr.GetDataMsg)
-    assert len(gd) == 1 and gd[0].dst == "p1"
-    timers = [a for a in acts if isinstance(a, pr.StartTimer)]
-    assert timers == [pr.StartTimer(b.hash, 5.0 + 1200.0)]
+    assert len(gd) == 1 and gd[0][0] == "p1"
+    timers = [a for a in acts if a[0] == pr.TIMER]
+    assert timers == [(pr.TIMER, b.hash, 5.0 + 1200.0)]
     # second advertiser: recorded for retries, no duplicate request
     acts2 = n.on_inv("p2", pr.block_inv(b.hash), 6.0)
     assert acts2 == []
@@ -96,8 +102,17 @@ def test_block_delivery_clears_pending_and_relays():
     acts = n.on_block("p1", pr.BlockMsg(b), 7.0)
     assert b.hash not in n.pending
     assert n.chain.tip == b
-    relayed = {a.dst for a in sends(acts, pr.InvMsg)}
+    relayed = {dst for dst, _ in sends(acts, pr.InvMsg)}
     assert relayed == {"p2", "p3"}  # everyone except the sender
+
+
+def test_accept_block_announces_once_to_sorted_peers_but_the_sender():
+    n = pr.Node("n")
+    for p in ("p3", "p1", "p4", "p2"):
+        n.on_connect(p, "out", 0.0)
+    b = pr.make_block(G, "a", 0, 5.0)
+    acts = n.accept_block(b, 5.0, exclude="p2")
+    assert acts == [(pr.SEND, ["p1", "p3", "p4"], pr.block_inv(b.hash))]
 
 
 def test_timeout_disconnects_and_walks_advertiser_list():
@@ -109,15 +124,15 @@ def test_timeout_disconnects_and_walks_advertiser_list():
     n.on_inv("p2", pr.block_inv(b.hash), 6.0)
     n.on_inv("p3", pr.block_inv(b.hash), 7.0)
     acts = n.on_timeout(b.hash, 1205.0, 1205.0)
-    kinds = [type(a).__name__ for a in acts]
-    assert kinds == ["Disconnect", "Send", "StartTimer"]
-    assert acts[0].peer == "p1"
-    assert acts[1].dst == "p2"  # announcement order, not random choice
+    kinds = [a[0] for a in acts]
+    assert kinds == [pr.DROP, pr.SEND, pr.TIMER]
+    assert acts[0][1] == "p1"
+    assert acts[1][1] == ["p2"]  # announcement order, not random choice
     assert n.pending[b.hash].deadline == 1205.0 + 1200.0
     n.on_disconnect("p1")
     # block finally shows up from the retry target
     n.on_block("p2", pr.BlockMsg(b), 1300.0)
-    assert n.chain.has(b.hash) and b.hash not in n.pending
+    assert b.hash in n.chain.blocks and b.hash not in n.pending
 
 
 def test_stale_timer_is_ignored():
@@ -139,7 +154,7 @@ def test_corrupted_block_keeps_pending_until_timeout():
     assert acts == []  # no re-request, no relay, nothing
     assert b.hash in n.pending  # still waiting on the same deadline
     acts = n.on_timeout(b.hash, 1205.0, 1205.0)
-    assert any(isinstance(a, pr.Disconnect) and a.peer == "p1" for a in acts)
+    assert (pr.DROP, "p1", None) in acts
 
 
 def test_unknown_parent_triggers_parent_fetch():
@@ -148,9 +163,9 @@ def test_unknown_parent_triggers_parent_fetch():
     b1, b2 = chained(2)
     acts = n.on_block("p1", pr.BlockMsg(b2), 4.0)
     gd = sends(acts, pr.GetDataMsg)
-    assert len(gd) == 1 and gd[0].dst == "p1"
-    assert gd[0].msg.items == [(wire.INV_BLOCK, b1.hash)]
-    assert n.chain.is_buffered(b2.hash)
+    assert len(gd) == 1 and gd[0][0] == "p1"
+    assert gd[0][1].items == [(wire.INV_BLOCK, b1.hash)]
+    assert buffered(n.chain, b2.hash)
     acts = n.on_block("p1", pr.BlockMsg(b1), 9.0)
     assert n.chain.tip == b2
     # both newly connected blocks get announced (sender excluded, no peers left)
@@ -169,7 +184,7 @@ def test_getdata_serves_only_known_blocks():
         6.0,
     )
     blocks = sends(acts, pr.BlockMsg)
-    assert len(blocks) == 1 and blocks[0].msg.block == b
+    assert len(blocks) == 1 and blocks[0][1].block == b
 
 
 def test_connect_announces_current_tip():
@@ -178,7 +193,7 @@ def test_connect_announces_current_tip():
     b = pr.make_block(G, "a", 0, 5.0)
     n.accept_block(b, 5.0)
     acts = n.on_connect("p2", "in", 6.0)
-    assert sends(acts, pr.InvMsg)[0].msg.items == [(wire.INV_BLOCK, b.hash)]
+    assert sends(acts, pr.InvMsg)[0][1].items == [(wire.INV_BLOCK, b.hash)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -247,7 +262,7 @@ def test_any_arrival_order_connects_everything(tree):
     c = pr.ChainView()
     for i, b in enumerate(order):
         c.add(b, float(i))
-    assert all(c.has(b.hash) for b in blocks)
+    assert all(b.hash in c.blocks for b in blocks)
     best = max(b.height for b in blocks)
     assert c.tip.height == best
     # the tip must be the first *connectable* block of maximal height: at
