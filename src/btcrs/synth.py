@@ -253,12 +253,12 @@ def delay_node_scenario(n_relays: int = 8, seed: int = 1) -> dict:
     victim's first INV for any block arrives via the relay of the mining AS
     and the first-advertiser connection is uniform over the victim's peers.
     """
-    if n_relays < 3:
-        raise ValueError(f"n_relays must be at least 3 for the relay ring, not {n_relays}")
     del seed  # wiring is fully determined; kept for signature symmetry
     hub = 100
-    relay_as = list(range(1, n_relays + 1))
     victim_as, ref_as = 50, 51
+    if not 3 <= n_relays < victim_as:  # the relay ring needs 3; relay ASes are 1..n_relays
+        raise ValueError(f"n_relays must be from 3 to {victim_as - 1}, not {n_relays}")
+    relay_as = list(range(1, n_relays + 1))
     ases = [{"id": a, "country": "US"} for a in relay_as + [victim_as, ref_as, hub]]
     links = [{"a": a, "b": hub, "rel": "c2p"} for a in relay_as + [victim_as, ref_as]]
     prefixes, nodes, pools = [], [], []

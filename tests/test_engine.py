@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btcrs import engine, synth
+from btcrs import engine, synth, wire
 from btcrs import protocol as pr
-from btcrs import wire
 from btcrs import topology as tp
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -249,8 +248,8 @@ def test_held_blocks_keep_no_advertisers():
         assert not any(h in node.chain.blocks for h in node.advertisers)
 
 
-@pytest.mark.parametrize("n_relays", [0, 1, 2])
-def test_delay_node_scenario_needs_three_relays(n_relays):
+@pytest.mark.parametrize("n_relays", [0, 1, 2, 50])
+def test_delay_node_scenario_rejects_relay_counts_it_cannot_wire(n_relays):
     with pytest.raises(ValueError, match="n_relays"):
         synth.delay_node_scenario(n_relays=n_relays)
 
