@@ -8,7 +8,10 @@ each checkout, one run after the other and never two at once.  The parent
 goes first in even pairs and the change first in odd ones, so a drift in the
 machine's speed falls on both sides alike; both runs of pair I use benchmark
 seed I, and every run takes the benchmark's own run length.  `--workload`
-may be repeated, and the pairs of every workload run in turn.
+may be repeated, and the pairs of every workload run in turn.  `--sim-seeds`
+(such as 8..15) is passed to every run, so a claim can be checked on
+simulation seeds other than the pinned 0..7; their digests are not pinned,
+so `correct` then reflects only the workload's own checks.
 
 The result is one JSON file: per workload and per `end_to_end` metric of the
 change's BENCHMARK.json, the value of every pair on each side, each side's
@@ -30,9 +33,11 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def run_once(checkout: Path, workload: str, seed: int) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, sim_seeds: str | None) -> dict:
     """One `--trace 0` run in `checkout`; returns its `environment` and result lines."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
+    if sim_seeds is not None:
+        cmd += ["--sim-seeds", sim_seeds]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
@@ -49,12 +54,13 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def workload_pairs(dirs: dict[str, Path], workload: str, pairs: int, metrics: list[dict]) -> dict:
+def workload_pairs(dirs: dict[str, Path], workload: str, pairs: int, metrics: list[dict],
+                   sim_seeds: str | None) -> dict:
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     for i in range(pairs):
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
             t0 = time.perf_counter()
-            runs[side].append(run_once(dirs[side], workload, i))
+            runs[side].append(run_once(dirs[side], workload, i, sim_seeds))
             res = runs[side][-1]["result"]
             print(f"{workload} pair {i} {side}: seed_s {res['metrics']['seed_s']['value']:.4f} "
                   f"correct {res['correct']} ({time.perf_counter() - t0:.0f} s wall)", file=sys.stderr)
@@ -85,6 +91,7 @@ def main(argv=None) -> int:
     p.add_argument("change", type=Path, help="checkout of the change")
     p.add_argument("--workload", action="append", required=True)
     p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--sim-seeds", help="simulation seeds A..B or A,B,C for every run instead of the pinned ones")
     p.add_argument("--out", type=Path, required=True, help="JSON file to write, such as BENCH_<n>.json")
     args = p.parse_args(argv)
     if args.pairs < 1:
@@ -94,10 +101,11 @@ def main(argv=None) -> int:
     record = {
         "command": "perfbench/run.py --trace 0",
         "pairs": args.pairs,
+        "sim_seeds": args.sim_seeds,
         "order": "parent first in even pairs, change first in odd pairs; pair i uses --seed i",
         "machine": {"python": platform.python_version(), "platform": platform.platform(),
                     "processor": platform.processor() or platform.machine()},
-        "workloads": {w: workload_pairs(dirs, w, args.pairs, spec["end_to_end"])
+        "workloads": {w: workload_pairs(dirs, w, args.pairs, spec["end_to_end"], args.sim_seeds)
                       for w in args.workload},
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")

@@ -86,7 +86,10 @@ class PartitionAttacker:
 
     def _mentions_external(self, msg) -> bool:
         if isinstance(msg, InvMsg):
-            return any(h in self._external for _, h in msg.items)
+            for _, h in msg.items:
+                if h in self._external:
+                    return True
+            return False
         if isinstance(msg, BlockMsg):
             return msg.block.hash in self._external
         return False  # getdata and the rest carry no new knowledge

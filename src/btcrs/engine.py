@@ -73,8 +73,12 @@ class Simulation:
         self._node_order = sorted(topo.nodes)
         self.rng_mine = random.Random(f"{seed}:mine")
         self.rng_net = random.Random(f"{seed}:net")
-        self._tx_rng = {n: random.Random(f"{seed}:tx:{n}") for n in self._node_order}
-        self._churn_rng = {n: random.Random(f"{seed}:churn:{n}") for n in self._node_order}
+        # a per-node stream only for the processes `_schedule_initial` starts
+        self._churn_on = bool((self.params.churn or {}).get("enabled"))
+        self._tx_rng = ({n: random.Random(f"{seed}:tx:{n}") for n in self._node_order}
+                        if self.params.tx_getdata_rate > 0 else {})
+        self._churn_rng = ({n: random.Random(f"{seed}:churn:{n}") for n in self._node_order}
+                           if self._churn_on else {})
         self._lifetime: dict[str, float] = {}
         self._home_as = {n: topo.nodes[n].home_as for n in self._node_order}
         self._fabric = {n: f for n in self._node_order if (f := topo.fabric_of(n))}  # gateways only
@@ -116,16 +120,6 @@ class Simulation:
 
     # ---- connections ----
 
-    def _routable(self, a: str, b: str) -> bool:
-        pa, pb = self._home_as[a], self._home_as[b]
-        if pa == pb:
-            return True
-        hit = self._routable_cache.get((pa, pb))
-        if hit is None:
-            hit = self.topo.forwarding.has_path(pa, pb) and self.topo.forwarding.has_path(pb, pa)
-            self._routable_cache[(pa, pb)] = hit
-        return hit
-
     def _connect(self, a: str, b: str, kind: str = "out") -> None:
         na, nb = self.nodes[a], self.nodes[b]
         if kind == "out":
@@ -134,30 +128,42 @@ class Simulation:
         acts_b = nb.on_connect(a, "clique" if kind == "clique" else "in", self.now)
         if self.delay_attacker is not None and kind == "out":
             self.delay_attacker.on_connect(a, b)
-        self._execute(a, acts_a)
-        self._execute(b, acts_b)
+        # on_connect never moves the tip, so an empty action list has nothing to execute
+        if acts_a:
+            self._execute(a, acts_a)
+        if acts_b:
+            self._execute(b, acts_b)
 
     def _dial(self, nid: str, exclude: frozenset = frozenset()) -> bool:
-        node = self.nodes[nid]
-        taken_groups = {self._ip16[p] for p in node.outgoing}
+        nodes, ip16, home_as, routable = self.nodes, self._ip16, self._home_as, self._routable_cache
+        veto, cap = self.dial_veto, self.params.max_connections
+        peers = nodes[nid].peers
+        taken_groups = {ip16[p] for p in nodes[nid].outgoing}
+        own_as = home_as[nid]
 
         def eligible(cand: str) -> bool:
-            if cand == nid or cand in node.peers or cand in exclude:
+            # cheapest test first; both vetoes are pure, so testing them last keeps every verdict
+            if cand == nid or cand in peers or cand in exclude or ip16[cand] in taken_groups:
                 return False
-            if self.dial_veto is not None and self.dial_veto(nid, cand):
+            if len(nodes[cand].peers) >= cap:
                 return False
-            if len(self.nodes[cand].peers) >= self.params.max_connections:
-                return False
-            if self._ip16[cand] in taken_groups:
-                return False
-            return self._routable(nid, cand)
+            cand_as = home_as[cand]
+            if cand_as != own_as:
+                hit = routable.get((own_as, cand_as))
+                if hit is None:
+                    has_path = self.topo.forwarding.has_path
+                    hit = routable[own_as, cand_as] = has_path(own_as, cand_as) and has_path(cand_as, own_as)
+                if not hit:
+                    return False
+            return veto is None or not veto(nid, cand)
 
         # rejection sampling stays uniform over the eligible set and avoids
         # scanning every node on the common path; the scan is the slow proof
         # that nothing (or only a rare candidate) is left
         order = self._node_order
+        randrange, n = self.rng_net.randrange, len(order)
         for _ in range(24):
-            cand = order[self.rng_net.randrange(len(order))]
+            cand = order[randrange(n)]
             if eligible(cand):
                 self._connect(nid, cand, "out")
                 return True
@@ -172,16 +178,16 @@ class Simulation:
         na, nb = self.nodes[a], self.nodes[b]
         if b not in na.peers:
             return
-        lost_out_a = b in na.outgoing
-        lost_out_b = a in nb.outgoing
+        out_a, out_b = na.outgoing, nb.outgoing  # live sets: on_disconnect updates them
+        lost_out_a, lost_out_b = b in out_a, a in out_b
         na.on_disconnect(b)
         nb.on_disconnect(a)
         if self.delay_attacker is not None:
             self.delay_attacker.on_disconnect(a, b)
         self.disconnects += 1
-        if refill_a and lost_out_a and len(na.outgoing) < self.params.outgoing_target:
+        if refill_a and lost_out_a and len(out_a) < self.params.outgoing_target:
             self._dial(a, exclude=frozenset({b}))
-        if lost_out_b and len(nb.outgoing) < self.params.outgoing_target:
+        if lost_out_b and len(out_b) < self.params.outgoing_target:
             self._dial(b, exclude=frozenset({a}))
 
     def _setup_connections(self) -> None:
@@ -203,9 +209,10 @@ class Simulation:
     def cross_fraction(self, side: set[str]) -> float:
         total = crossing = 0
         for nid, node in self.nodes.items():
-            for peer in node.outgoing:
-                total += 1
-                crossing += (nid in side) != (peer in side)
+            out = node.outgoing
+            inside = len(side.intersection(out))
+            total += len(out)
+            crossing += len(out) - inside if nid in side else inside
         return crossing / total if total else 0.0
 
     def sever_crossing(self, side: set[str]) -> None:
@@ -448,9 +455,8 @@ class Simulation:
             for nid in self._node_order:
                 self._push(self._tx_rng[nid].expovariate(self.params.tx_getdata_rate),
                            Simulation._ev_txreq, (nid,))
-        churn = self.params.churn or {}
-        if churn.get("enabled"):
-            table = churn.get("lifetime_table") or [[1.0, 86_400.0]]
+        if self._churn_on:
+            table = self.params.churn.get("lifetime_table") or [[1.0, 86_400.0]]
             for nid in self._node_order:
                 rng = self._churn_rng[nid]
                 u, acc = rng.random(), 0.0

@@ -281,29 +281,34 @@ class Coverage:
                 )
             net = ipaddress.IPv4Network(f"{base}/{length}")  # validates base/mask alignment
             nets.append((int(net.network_address), int(net.netmask), length, base))
-        self._topo = topo
         self._seed = seed
-        self._best: dict[str, tuple[int, str] | None] = {}
+        self._coins: dict[tuple[str, int], bool] = {}  # (race prefix, source AS) -> adopted
+        # node -> (home AS, rule): False never diverted, True diverted from every
+        # foreign AS, or the equal-length prefix whose race each source AS decides
+        self._rule: dict[str, tuple[int, bool | str]] = {}
         for node_id, pl in topo.nodes.items():
             ip = int(ipaddress.IPv4Address(pl.ip))
             covering = [(length, base) for net, mask, length, base in nets if ip & mask == net]
-            self._best[node_id] = max(covering) if covering else None
+            rule: bool | str = False
+            if covering:
+                length, base = max(covering)
+                if length > pl.home_prefix.length:
+                    rule = True
+                elif length == pl.home_prefix.length:
+                    rule = f"{base}/{length}"
+            self._rule[node_id] = (pl.home_as, rule)
 
     def diverted(self, node_id: str, src_as: int) -> bool:
-        pl = self._topo.nodes[node_id]
-        if src_as == pl.home_as:
+        home_as, rule = self._rule[node_id]
+        if rule is False or src_as == home_as:
             return False
-        best = self._best[node_id]
-        if best is None:
-            return False
-        length, base = best
-        if length > pl.home_prefix.length:
+        if rule is True:
             return True
-        if length < pl.home_prefix.length:
-            return False
         # equal-length race: each source AS adopts one of the two routes
-        coin = random.Random(f"{self._seed}:eqlen:{base}/{length}:{src_as}")
-        return coin.random() < 0.5
+        coin = self._coins.get((rule, src_as))
+        if coin is None:
+            coin = self._coins[rule, src_as] = random.Random(f"{self._seed}:eqlen:{rule}:{src_as}").random() < 0.5
+        return coin
 
 
 def hijack_coverage(

@@ -3,6 +3,7 @@
 import copy
 import heapq
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -83,8 +84,9 @@ def test_clock_never_runs_backwards():
 class HeapSimulation(engine.Simulation):
     """One `(when, seq, handler, args)` heap entry per event, one message per send, and every INV delivered.
 
-    The reference that the timestamp buckets, the batched destination walk
-    and the skipped INV deliveries of `Simulation` must agree with.
+    The reference that the timestamp buckets, the batched destination walk,
+    the skipped INV deliveries, the dial's test order, the skipped empty
+    connects and the crossing count of `Simulation` must agree with.
     """
 
     def __init__(self, *args, **kwargs):
@@ -125,6 +127,56 @@ class HeapSimulation(engine.Simulation):
             handler = {pr.InvMsg: node.on_inv, pr.GetDataMsg: node.on_getdata, pr.BlockMsg: node.on_block}
             self._execute(dst, handler[type(msg)](src, msg, self.now))
 
+    def _connect(self, a, b, kind="out"):
+        if kind == "out":
+            self.dials += 1
+        acts_a = self.nodes[a].on_connect(b, "clique" if kind == "clique" else "out", self.now)
+        acts_b = self.nodes[b].on_connect(a, "clique" if kind == "clique" else "in", self.now)
+        if self.delay_attacker is not None and kind == "out":
+            self.delay_attacker.on_connect(a, b)
+        self._execute(a, acts_a)
+        self._execute(b, acts_b)
+
+    def _routable(self, a, b):
+        pa, pb = self.topo.nodes[a].home_as, self.topo.nodes[b].home_as
+        return pa == pb or (self.topo.forwarding.has_path(pa, pb) and self.topo.forwarding.has_path(pb, pa))
+
+    def _dial(self, nid, exclude=frozenset()):
+        """The veto first, then the other tests; one `randrange` per attempt, then the scan."""
+        node = self.nodes[nid]
+        taken_groups = {self._ip16[p] for p in node.outgoing}
+
+        def eligible(cand):
+            if cand == nid or cand in node.peers or cand in exclude:
+                return False
+            if self.dial_veto is not None and self.dial_veto(nid, cand):
+                return False
+            if len(self.nodes[cand].peers) >= self.params.max_connections:
+                return False
+            if self._ip16[cand] in taken_groups:
+                return False
+            return self._routable(nid, cand)
+
+        order = self._node_order
+        for _ in range(24):
+            cand = order[self.rng_net.randrange(len(order))]
+            if eligible(cand):
+                self._connect(nid, cand, "out")
+                return True
+        candidates = [c for c in order if eligible(c)]
+        if not candidates:
+            return False
+        self._connect(nid, self.rng_net.choice(candidates), "out")
+        return True
+
+    def cross_fraction(self, side):
+        total = crossing = 0
+        for nid, node in self.nodes.items():
+            for peer in node.outgoing:
+                total += 1
+                crossing += (nid in side) != (peer in side)
+        return crossing / total if total else 0.0
+
     def _run_queue(self):
         while self._heap:
             when, _, handler, args = heapq.heappop(self._heap)
@@ -164,7 +216,7 @@ def _run_state(cls, topo, seed, inject=None):
         "partition": res.partition and res.partition.to_dict(),
         "tampering": res.delay_attacker and (res.delay_attacker.rewrites, res.delay_attacker.restores,
                                              res.delay_attacker.corruptions),
-        "nodes": {nid: (n.chain.arrival, n.pending, n.advertisers) for nid, n in res.nodes.items()},
+        "nodes": {nid: (n.chain.arrival, n.pending, n.advertisers, n.peers) for nid, n in res.nodes.items()},
         "pushed": pushed,
     }
 
@@ -176,9 +228,9 @@ def _assert_same_as_heap(raw, seed):
 
 @st.composite
 def gossip_worlds(draw):
-    """Small worlds whose runs cover churn, pool fabrics, and both attack kinds."""
-    kind = draw(st.sampled_from(["halves", "hijack", "paperlike", "delay"]))
-    if kind in ("halves", "hijack"):
+    """Small worlds whose runs cover churn, pool fabrics, a dial veto, and both attack kinds."""
+    kind = draw(st.sampled_from(["halves", "hijack", "perfect", "paperlike", "delay"]))
+    if kind in ("halves", "hijack", "perfect"):
         n_as = draw(st.sampled_from([4, 6, 8]))
         raw = synth.two_halves(n_nodes=draw(st.integers(n_as, 60)), n_as=n_as, seed=draw(st.integers(0, 9)))
         churn = draw(st.booleans())
@@ -190,6 +242,10 @@ def gossip_worlds(draw):
             # the partition report's final sweep reads the clock against `threshold`
             raw["params"].update(convergence_delay=draw(st.sampled_from([0.0, 30.0])),
                                  threshold=draw(st.sampled_from([60.0, 600.0])))
+        elif kind == "perfect":
+            # isolate severs the crossing connections and vetoes dials across them until `end`
+            raw["attack"]["params"].update(start=draw(st.sampled_from([0.0, 300.0])),
+                                           end=draw(st.sampled_from([None, 900.0])))
         else:
             del raw["attack"]
     elif kind == "paperlike":
@@ -225,6 +281,32 @@ def test_any_destination_list_is_walked_like_one_send_each(raw, seed, data):
 
     assert (_run_state(engine.Simulation, topo, seed, (when, inject))
             == _run_state(HeapSimulation, topo, seed, (when, inject)))
+
+
+@pytest.mark.parametrize("onpath", [0.0, 0.5])
+def test_healing_equals_reference_dial_and_crossing_count(monkeypatch, onpath):
+    # isolate's veto holds for an hour, then `onpath` keeps vetoing a seeded share of cross pairs
+    raw = synth.two_halves(n_nodes=60, n_as=6, seed=1)
+    want = engine.run_healing(raw, seed=2, onpath=onpath).to_dict()
+    monkeypatch.setattr(engine, "Simulation", HeapSimulation)
+    assert engine.run_healing(raw, seed=2, onpath=onpath).to_dict() == want
+
+
+@pytest.mark.parametrize("tx_rate, churn, per_node", [(0.0, False, 0), (0.0, True, 1), (0.01, False, 1),
+                                                      (0.01, True, 2)])
+def test_per_node_streams_only_for_processes_that_run(monkeypatch, tx_rate, churn, per_node):
+    topo = tp.load_topology(tiny_world())
+    made = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(engine.random, "Random", CountingRandom)
+    engine.Simulation(topo, seed=0, overrides={
+        "tx_getdata_rate": tx_rate, "churn": {"enabled": churn, "lifetime_table": [[1.0, 900.0]]}})
+    assert len(made) == 2 + per_node * len(topo.nodes)  # rng_mine and rng_net, then one per node and process
 
 
 def test_lone_peer_of_the_sender_still_records_its_tip():

@@ -307,8 +307,7 @@ def test_customer_provider_cycle_rejected():
 
 def fully_diverted(cov, node_id):
     """Whether a more-specific announcement than its home prefix covers the node."""
-    best = cov._best[node_id]
-    return best is not None and best[0] > cov._topo.nodes[node_id].home_prefix.length
+    return cov._rule[node_id][1] is True
 
 
 def three_as_topology():
@@ -370,6 +369,22 @@ def test_equal_length_announcement_splits_sources_roughly_in_half():
     assert [again.diverted("v", a) for a in sources] == [cov.diverted("v", a) for a in sources]
 
 
+def test_equal_length_race_seeds_one_coin_per_source_as(monkeypatch):
+    topo = three_as_topology()
+    cov = tp.hijack_coverage(topo, [("10.1.0.0", 16)], attacker_as=3, seed=5)
+    made = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(tp.random, "Random", CountingRandom)
+    verdicts = {cov.diverted("v", 2) for _ in range(100)}
+    assert len(verdicts) == 1
+    assert len(made) <= 1
+
+
 def test_slash25_announcement_rejected():
     topo = three_as_topology()
     with pytest.raises(tp.ScenarioError) as err:
@@ -396,7 +411,9 @@ def test_adding_more_specific_never_shrinks_coverage(ip_suffix, extra_len):
 class IpaddressCoverage(tp.Coverage):
     """Best-prefix selection with one `ipaddress` network per (node, announcement) pair.
 
-    The reference that the integer-mask selection in `Coverage` must agree with.
+    The reference that the integer-mask selection, the per-node rules and the
+    cached race coins of `Coverage` must agree with: it seeds a fresh coin on
+    every equal-length call.
     """
 
     def __init__(self, topo, announced, seed=0):
@@ -410,6 +427,25 @@ class IpaddressCoverage(tp.Coverage):
                 if ipaddress.IPv4Address(pl.ip) in ipaddress.IPv4Network(f"{base}/{length}")
             ]
             self._best[node_id] = max(covering) if covering else None
+
+    def diverted(self, node_id, src_as):
+        pl = self._topo.nodes[node_id]
+        if src_as == pl.home_as:
+            return False
+        best = self._best[node_id]
+        if best is None:
+            return False
+        length, base = best
+        if length > pl.home_prefix.length:
+            return True
+        if length < pl.home_prefix.length:
+            return False
+        coin = random.Random(f"{self._seed}:eqlen:{base}/{length}:{src_as}")
+        return coin.random() < 0.5
+
+    def fully_diverted(self, node_id):
+        best = self._best[node_id]
+        return best is not None and best[0] > self._topo.nodes[node_id].home_prefix.length
 
 
 def _subnet(ip: int, length: int) -> str:
@@ -439,7 +475,7 @@ def test_coverage_equals_ipaddress_reference(data):
     cov = tp.hijack_coverage(topo, announced, attacker_as=3, seed=seed)
     ref = IpaddressCoverage(topo, announced, seed)
     for node in nodes:
-        assert fully_diverted(cov, node) == fully_diverted(ref, node)
+        assert fully_diverted(cov, node) == ref.fully_diverted(node)
         for src in (1, 2, 3):
             assert cov.diverted(node, src) == ref.diverted(node, src)
 
