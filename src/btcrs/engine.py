@@ -85,7 +85,7 @@ class Simulation:
         self._delay: dict[tuple[int, int], float] = {}  # (src AS, dst AS) -> one-way delay
         self._routable_cache: dict[tuple[int, int], bool] = {}
         self._ip16 = {n: _slash16(topo.nodes[n].ip) for n in self._node_order}
-        self.dial_veto = None  # callable(a, b) -> True to refuse the dial
+        self.dial_veto = None  # pure callable(a, b) -> True to refuse the dial; `_dial` asks it last
         self.tip_series = {n: [(0.0, 0)] for n in self._node_order}
         self.mined: list[MinedBlock] = []
         self.last_mine_time = 0.0
@@ -142,7 +142,7 @@ class Simulation:
         own_as = home_as[nid]
 
         def eligible(cand: str) -> bool:
-            # cheapest test first; both vetoes are pure, so testing them last keeps every verdict
+            # cheapest test first; the veto is pure, so asking it last keeps every verdict
             if cand == nid or cand in peers or cand in exclude or ip16[cand] in taken_groups:
                 return False
             if len(nodes[cand].peers) >= cap:
