@@ -16,7 +16,15 @@ so `correct` then reflects only the workload's own checks.
 The result is one JSON file: per workload and per `end_to_end` metric of the
 change's BENCHMARK.json, the value of every pair on each side, each side's
 median and quartiles, and `wins`, the number of pairs in which the change is
-better.  Each run's `correct` and `failed` are kept too.
+better.  Each run's `correct` and `failed` are kept too.  With `--label NAME`
+the record is stored under NAME in the `--out` file, next to the records
+already there, so one file can hold the pinned and the held-out seeds:
+
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload coalition --pairs 5 \
+        --sim-seeds 8..15 --label held_out_seeds --out BENCH_<n>.json
+
+The exit status is 1 when any run reported `correct: false` or `failed > 0`;
+each such run is named on stderr, after the file is written.
 """
 
 from __future__ import annotations
@@ -54,6 +62,24 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def wins(parent: list[float], change: list[float], better: str) -> int:
+    """The number of pairs in which the change is strictly better; a tie counts for neither."""
+    if better == "lower":
+        return sum(c < p for p, c in zip(parent, change))
+    return sum(c > p for p, c in zip(parent, change))
+
+
+def bad_runs(record: dict) -> list[str]:
+    """One line for each run of `record` that reported `correct: false` or `failed > 0`."""
+    bad = []
+    for workload, res in record["workloads"].items():
+        for side in SIDES:
+            for i, (ok, failed) in enumerate(zip(res["correct"][side], res["failed"][side])):
+                if not ok or failed:
+                    bad.append(f"{workload} pair {i} {side}: correct {ok}, failed {failed}")
+    return bad
+
+
 def workload_pairs(dirs: dict[str, Path], workload: str, pairs: int, metrics: list[dict],
                    sim_seeds: str | None) -> dict:
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
@@ -71,15 +97,14 @@ def workload_pairs(dirs: dict[str, Path], workload: str, pairs: int, metrics: li
         "metrics": {},
     }
     for metric in metrics:
-        name, lower = metric["name"], metric["better"] == "lower"
+        name = metric["name"]
         values = {side: [r["result"]["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
-        wins = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
         out["metrics"][name] = {
             "unit": metric["unit"],
             "better": metric["better"],
             "bound": metric.get("bound"),
             **{side: {"values": values[side], **spread(values[side])} for side in SIDES},
-            "wins": wins,
+            "wins": wins(values["parent"], values["change"], metric["better"]),
             "pairs": pairs,
         }
     return out
@@ -93,6 +118,7 @@ def main(argv=None) -> int:
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--sim-seeds", help="simulation seeds A..B or A,B,C for every run instead of the pinned ones")
     p.add_argument("--out", type=Path, required=True, help="JSON file to write, such as BENCH_<n>.json")
+    p.add_argument("--label", help="store the record under this key of --out, keeping the records already there")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
@@ -108,13 +134,21 @@ def main(argv=None) -> int:
         "workloads": {w: workload_pairs(dirs, w, args.pairs, spec["end_to_end"], args.sim_seeds)
                       for w in args.workload},
     }
-    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    if args.label is None:
+        doc = record
+    else:
+        doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+        doc[args.label] = record
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
     for w, res in record["workloads"].items():
         for name, m in res["metrics"].items():
             print(f"{w} {name}: parent {m['parent']['median']:.4g} [{m['parent']['q1']:.4g}, "
                   f"{m['parent']['q3']:.4g}]  change {m['change']['median']:.4g} [{m['change']['q1']:.4g}, "
                   f"{m['change']['q3']:.4g}] {m['unit']}; change better in {m['wins']}/{m['pairs']}")
-    return 0
+    bad = bad_runs(record)
+    for line in bad:
+        print(f"incorrect run: {line}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

@@ -177,7 +177,7 @@ class DelayAttacker:
         self.rng = random.Random(f"{self.seed}:delay")
         self.intercepted: set[str] = set()
         self._stash: dict[tuple[str, str], _Stash] = {}
-        self._path_hits: dict[tuple[int, int], bool] = {}
+        self._hits: dict[tuple[str, str], bool] = {}  # network mode: (src, dst) -> intercepts
         self.rewrites = 0
         self.restores = 0
         self.corruptions = 0
@@ -205,22 +205,20 @@ class DelayAttacker:
     # ---- message selection ----
 
     def _crosses_coalition(self, src: str, dst: str) -> bool:
-        key = (self.topo.nodes[src].home_as, self.topo.nodes[dst].home_as)
-        hit = self._path_hits.get(key)
-        if hit is None:
-            try:
-                ases = tp.intercepting_ases(self.topo, src, dst)
-            except tp.ScenarioError:
-                ases = set()
-            hit = bool(ases & self.coalition)
-            self._path_hits[key] = hit
-        return hit
+        try:
+            return bool(tp.intercepting_ases(self.topo, src, dst) & self.coalition)
+        except tp.ScenarioError:
+            return False
 
     def intercepts(self, src: str, dst: str) -> bool:
         if self.mode == "network":
-            if dst in self.topo.fabric_of(src):
-                return False  # private pool fabric, not routed over the open net
-            return self._crosses_coalition(src, dst)
+            # one verdict per ordered pair: fabrics and routes are fixed for the run
+            hit = self._hits.get((src, dst))
+            if hit is None:
+                # a private pool fabric is not routed over the open net
+                hit = dst not in self.topo.fabric_of(src) and self._crosses_coalition(src, dst)
+                self._hits[src, dst] = hit
+            return hit
         if self.direction == "outgoing":
             return src == self.victim and dst in self.intercepted
         return dst == self.victim and src in self.intercepted

@@ -9,6 +9,13 @@ its receiver already has is never delivered; only its time is queued.
 Latency between two nodes is `base_delay` plus `per_hop_delay` for every
 inter-AS hop of the policy-compliant route; members of the same pool fabric
 exchange messages instantly and invisibly to any on-path attacker.
+
+Background transaction chatter runs only when the attack reads it: a
+node-mode delay attack or a hijack partition (`_reads_tx`).  Anywhere else a
+tx request changes no state, so leaving it out keeps every output and can
+only end the final clock `now` earlier, which nothing reads once `run()`
+returns.  A new reader of tx frames, such as a per-command frame counter,
+must be added to `_reads_tx`.
 """
 
 from __future__ import annotations
@@ -55,6 +62,22 @@ def _slash16(ip: str) -> str:
     return ".".join(ip.split(".")[:2])
 
 
+def _reads_tx(attack: dict | None) -> bool:
+    """Whether `attack` reads background transaction requests.
+
+    A node-mode delay attack restores a stolen block request inside one, and
+    a hijack partition's attacker counts every diverted frame and clocks its
+    sender's liveness by it.  Nothing else does: a tx-only GETDATA changes no
+    state in `Node.on_getdata`, in `_execute` or in any other `_send`.
+    """
+    if not attack:
+        return False
+    params = attack.get("params", {})
+    if attack.get("kind") == "delay":
+        return "coalition" not in params
+    return attack.get("kind") == "partition" and params.get("mode") != "perfect"
+
+
 class Simulation:
     """One seeded run over a loaded topology."""
 
@@ -75,8 +98,8 @@ class Simulation:
         self.rng_net = random.Random(f"{seed}:net")
         # a per-node stream only for the processes `_schedule_initial` starts
         self._churn_on = bool((self.params.churn or {}).get("enabled"))
-        self._tx_rng = ({n: random.Random(f"{seed}:tx:{n}") for n in self._node_order}
-                        if self.params.tx_getdata_rate > 0 else {})
+        self._tx_on = self.params.tx_getdata_rate > 0 and _reads_tx(attack)
+        self._tx_rng = {n: random.Random(f"{seed}:tx:{n}") for n in self._node_order} if self._tx_on else {}
         self._churn_rng = ({n: random.Random(f"{seed}:churn:{n}") for n in self._node_order}
                            if self._churn_on else {})
         self._lifetime: dict[str, float] = {}
@@ -379,7 +402,9 @@ class Simulation:
         self._execute(dst, acts)
 
     def _ev_timeout(self, nid: str, block_hash: bytes, deadline: float) -> None:
-        self._execute(nid, self.nodes[nid].on_timeout(block_hash, deadline, self.now))
+        acts = self.nodes[nid].on_timeout(block_hash, deadline, self.now)
+        if acts:  # on_timeout never moves the tip, so there is nothing else to execute
+            self._execute(nid, acts)
 
     def _pick_miner(self) -> tuple[str, list[str]]:
         r = self.rng_mine.random()
@@ -451,7 +476,7 @@ class Simulation:
         if self._blocks_left > 0:
             self._push(self.rng_mine.expovariate(1.0 / self.params.block_interval_mean),
                        Simulation._ev_mine, ())
-        if self.params.tx_getdata_rate > 0:
+        if self._tx_on:
             for nid in self._node_order:
                 self._push(self._tx_rng[nid].expovariate(self.params.tx_getdata_rate),
                            Simulation._ev_txreq, (nid,))

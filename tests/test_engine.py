@@ -292,9 +292,18 @@ def test_healing_equals_reference_dial_and_crossing_count(monkeypatch, onpath):
     assert engine.run_healing(raw, seed=2, onpath=onpath).to_dict() == want
 
 
-@pytest.mark.parametrize("tx_rate, churn, per_node", [(0.0, False, 0), (0.0, True, 1), (0.01, False, 1),
-                                                      (0.01, True, 2)])
-def test_per_node_streams_only_for_processes_that_run(monkeypatch, tx_rate, churn, per_node):
+NODE_DELAY = {"kind": "delay", "target": ["n1"], "params": {"interception": 1.0}}
+TINY_ATTACKS = {  # attacks on tiny_world, each with whether it reads background tx requests
+    "none": (None, False),
+    "coalition": ({"kind": "delay", "target": [], "params": {"coalition": [99]}}, False),
+    "perfect": ({"kind": "partition", "target": ["n1"], "params": {"mode": "perfect"}}, False),
+    "node-delay": (NODE_DELAY, True),
+    "hijack": ({"kind": "partition", "target": ["n1"], "params": {"attacker_as": 99}}, True),
+}
+
+
+def _per_node_streams(monkeypatch, tx_rate, churn, attack):
+    """How many `random.Random` per node `Simulation(...)` builds beyond rng_mine and rng_net."""
     topo = tp.load_topology(tiny_world())
     made = []
 
@@ -305,8 +314,68 @@ def test_per_node_streams_only_for_processes_that_run(monkeypatch, tx_rate, chur
 
     monkeypatch.setattr(engine.random, "Random", CountingRandom)
     engine.Simulation(topo, seed=0, overrides={
-        "tx_getdata_rate": tx_rate, "churn": {"enabled": churn, "lifetime_table": [[1.0, 900.0]]}})
-    assert len(made) == 2 + per_node * len(topo.nodes)  # rng_mine and rng_net, then one per node and process
+        "tx_getdata_rate": tx_rate, "churn": {"enabled": churn, "lifetime_table": [[1.0, 900.0]]}}, attack=attack)
+    return (len(made) - 2) / len(topo.nodes)
+
+
+@pytest.mark.parametrize("tx_rate, churn, per_node", [(0.0, False, 0), (0.0, True, 1), (0.01, False, 1),
+                                                      (0.01, True, 2)])
+def test_per_node_streams_only_for_processes_that_run(monkeypatch, tx_rate, churn, per_node):
+    # a node-mode delay attack reads tx requests, so the tx streams follow the rate
+    assert _per_node_streams(monkeypatch, tx_rate, churn, NODE_DELAY) == per_node
+
+
+@pytest.mark.parametrize("attack", sorted(TINY_ATTACKS))
+def test_tx_streams_only_when_the_attack_reads_tx(monkeypatch, attack):
+    spec, reads = TINY_ATTACKS[attack]
+    assert _per_node_streams(monkeypatch, 0.01, True, spec) == 1 + reads  # churn, then tx if read
+
+
+class AlwaysTxSimulation(engine.Simulation):
+    """Runs the background tx process whenever its rate is positive, whether or not an attack reads it."""
+
+    def __init__(self, topo, seed, overrides=None, attack=None, end_time=None):
+        super().__init__(topo, seed, overrides, attack, end_time)
+        if self.params.tx_getdata_rate > 0:
+            self._tx_on = True
+            self._tx_rng = {n: random.Random(f"{seed}:tx:{n}") for n in self._node_order}
+
+
+@st.composite
+def tx_worlds(draw, kind):
+    """A world with background tx requests under `kind`: paperlike (no attack), coalition, delay, hijack or perfect."""
+    if kind == "paperlike":
+        raw = paperlike()
+    elif kind == "coalition":
+        raw = synth.adjust_pool_degree(paperlike(), draw(st.sampled_from([1, 3])))
+        raw["attack"] = {"kind": "delay", "target": [], "params": {"coalition": "US", "interception": 1.0}}
+    elif kind == "delay":
+        raw = synth.delay_node_scenario(n_relays=draw(st.integers(3, 8)))
+        raw["attack"]["params"].update(interception=draw(st.sampled_from([0.5, 1.0])),
+                                       direction=draw(st.sampled_from(["outgoing", "incoming"])))
+    elif kind == "hijack":
+        raw = synth.random_partition_case(draw(st.integers(0, 199)))
+    else:
+        n_as = draw(st.sampled_from([4, 6, 8]))
+        raw = synth.two_halves(n_nodes=draw(st.integers(n_as, 60)), n_as=n_as, seed=draw(st.integers(0, 9)))
+        raw["params"].update(block_interval_mean=120.0, drain_time=1500.0,
+                             churn={"enabled": draw(st.booleans()), "lifetime_table": [[1.0, 900.0]]})
+        raw["attack"]["params"].update(start=draw(st.sampled_from([0.0, 300.0])),
+                                       end=draw(st.sampled_from([None, 900.0])))
+    raw["params"].update(blocks=draw(st.integers(1, 4)), tx_getdata_rate=draw(st.sampled_from([0.003, 0.02])))
+    return raw
+
+
+@pytest.mark.parametrize("kind", ["paperlike", "coalition", "delay", "hijack", "perfect"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**16))
+def test_unread_tx_requests_change_nothing_but_the_final_clock(kind, data, seed):
+    # under "delay" and "hijack" both sides run the tx process, so a dropped reader shows here
+    topo = tp.load_topology(data.draw(tx_worlds(kind)))
+    got = _run_state(engine.Simulation, topo, seed)
+    want = _run_state(AlwaysTxSimulation, topo, seed)
+    assert got.pop("now") <= want.pop("now")
+    assert got == want
 
 
 def test_lone_peer_of_the_sender_still_records_its_tip():

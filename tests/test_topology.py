@@ -6,6 +6,8 @@ routing-tree construction in btcrs.topology — so the two implementations
 cross-check each other on random graphs.
 """
 
+import copy
+import functools
 import ipaddress
 import json
 import random
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from btcrs import engine, metrics
 from btcrs import topology as tp
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -269,6 +272,58 @@ def test_scenario_validation_errors(mutation, fragment):
     with pytest.raises(tp.ScenarioError) as err:
         tp.load_topology(minimal_scenario(**mutation))
     assert fragment in str(err.value)
+
+
+def _json_paths(doc, prefix=()):
+    """The location of every value below the root of a JSON document, parents first.
+
+    Only the first two entries of a list are visited: the rest have their
+    shape and their checks, and skipping them keeps the 1000 nodes of
+    twohalves.scn from drowning out its parameters.
+    """
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc[:2]) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@functools.cache
+def _shipped(name):
+    """A shipped scenario (never mutate it) and the locations of its values."""
+    doc = json.loads((SCENARIOS / name).read_text())
+    return doc, list(_json_paths(doc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_shipped_scenarios_are_rejected_or_run(data):
+    # one edit anywhere in a shipped scenario: drop the key or list entry, give
+    # the value another JSON type, or negate a number
+    doc, paths = _shipped(data.draw(st.sampled_from(["paperlike.scn", "delaynode.scn", "twohalves.scn"])))
+    path = data.draw(st.sampled_from(paths))
+    value = _at(doc, path)
+    number = type(value) in (int, float) and value != 0
+    edit = data.draw(st.sampled_from(["drop", "type", "negate"] if number else ["drop", "type"]))
+    raw = copy.deepcopy(doc)
+    parent, key = _at(raw, path[:-1]), path[-1]
+    if edit == "drop":
+        del parent[key]
+    elif edit == "type":
+        parent[key] = data.draw(st.sampled_from([v for v in (None, True, 0, 2.5, "x", [], {})
+                                                 if type(v) is not type(value)]))
+    else:
+        parent[key] = -value
+    try:
+        topo = tp.load_topology(raw)
+    except tp.ScenarioError:
+        return
+    metrics.summarize(engine.run_scenario(topo, seed=0, end_time=600.0))
 
 
 def test_hash_share_sum_error_message():
