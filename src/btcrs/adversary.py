@@ -27,28 +27,6 @@ from . import wire
 from .protocol import GENESIS, BlockMsg, GetDataMsg, InvMsg, block_to_payload
 
 
-@dataclass
-class PartitionReport:
-    partition: list[str]
-    leaked: list[str]
-    unresponsive: list[str]
-    isolated: list[str]
-    forwarded: int
-    dropped: int
-    leak_events: list[tuple[float, str]]
-
-    def to_dict(self) -> dict:
-        return {
-            "partition": self.partition,
-            "leaked": self.leaked,
-            "unresponsive": self.unresponsive,
-            "isolated": self.isolated,
-            "forwarded": self.forwarded,
-            "dropped": self.dropped,
-            "leak_events": [[t, n] for t, n in self.leak_events],
-        }
-
-
 class PartitionAttacker:
     """Filtering policy over diverted traffic, with leak and liveness tracking."""
 
@@ -69,15 +47,14 @@ class PartitionAttacker:
         """P \\ L: members still being kept inside."""
         return self._monitored
 
-    def register_block(self, block_hash: bytes, miner, mine_time: float) -> None:
+    def register_block(self, block_hash: bytes, miners: set) -> None:
         """Record a block's origin the moment it is mined.
 
-        `miner` is a node id, or the set of nodes a pool injects the block at.
-        Externality is judged against P \\ L *as of the mining instant*; a
-        block mined by a member that leaks later does not retroactively
-        become outside information.
+        `miners` is the set of nodes the block is injected at: its miner, or
+        a pool's gateways.  Externality is judged against P \\ L *as of the
+        mining instant*; a block mined by a member that leaks later does not
+        retroactively become outside information.
         """
-        miners = {miner} if isinstance(miner, str) else set(miner)
         if not miners <= self.monitored:
             self._external.add(block_hash)
 
@@ -118,17 +95,17 @@ class PartitionAttacker:
             n for n in self.monitored if now - self.last_seen[n] >= self.threshold
         }
 
-    def report(self) -> PartitionReport:
-        iso = self.partition - self.leaked - self.unresponsive
-        return PartitionReport(
-            partition=sorted(self.partition),
-            leaked=sorted(self.leaked),
-            unresponsive=sorted(self.unresponsive),
-            isolated=sorted(iso),
-            forwarded=self.forwarded,
-            dropped=self.dropped,
-            leak_events=list(self.leak_events),
-        )
+    def report(self) -> dict:
+        """The run's partition outcome, as the `partition` object of a run report."""
+        return {
+            "partition": sorted(self.partition),
+            "leaked": sorted(self.leaked),
+            "unresponsive": sorted(self.unresponsive),
+            "isolated": sorted(self.partition - self.leaked - self.unresponsive),
+            "forwarded": self.forwarded,
+            "dropped": self.dropped,
+            "leak_events": [[t, n] for t, n in self.leak_events],
+        }
 
 
 # -- delay attacks ---------------------------------------------------------------

@@ -143,7 +143,7 @@ def _cmd_heal(args) -> int:
     if not topo.attack or topo.attack.get("kind") != "partition" or not topo.attack.get("target"):
         raise _CliError(SCENARIO_ERR, "heal needs a scenario with a partition attack on a non-empty target")
     digest = topo.config_digest()
-    results = engine.run_healing_seeds(raw, seeds, args.onpath, overrides)
+    results = engine._map_tasks(engine.run_healing, [(raw, s, args.onpath, overrides) for s in seeds])
     results.sort(key=lambda r: r.seed)
     body = {
         "config": digest,

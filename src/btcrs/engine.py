@@ -13,9 +13,9 @@ exchange messages instantly and invisibly to any on-path attacker.
 Background transaction chatter runs only when the attack reads it: a
 node-mode delay attack or a hijack partition (`_reads_tx`).  Anywhere else a
 tx request changes no state, so leaving it out keeps every output and can
-only end the final clock `now` earlier, which nothing reads once `run()`
-returns.  A new reader of tx frames, such as a per-command frame counter,
-must be added to `_reads_tx`.
+only end the final clock `now` earlier, which no report reads.  A new reader
+of tx frames, such as a per-command frame counter, must be added to
+`_reads_tx`.
 """
 
 from __future__ import annotations
@@ -30,32 +30,9 @@ from . import planner
 from . import protocol as pr
 from . import topology as tp
 from . import wire
-from .adversary import DelayAttacker, PartitionAttacker, PartitionReport
+from .adversary import DelayAttacker, PartitionAttacker
 
 SWEEP_INTERVAL = 60.0
-
-
-@dataclass
-class MinedBlock:
-    time: float
-    block: pr.Block
-    miner: str
-
-
-@dataclass
-class RunResult:
-    seed: int
-    config_digest: str
-    params: tp.SimParams
-    mined: list[MinedBlock]
-    last_mine_time: float
-    tip_series: dict[str, list[tuple[float, int]]]
-    nodes: dict[str, pr.Node]
-    partition: PartitionReport | None
-    partition_attacker: PartitionAttacker | None
-    delay_attacker: DelayAttacker | None
-    dials: int
-    disconnects: int
 
 
 def _slash16(ip: str) -> str:
@@ -110,8 +87,7 @@ class Simulation:
         self._ip16 = {n: _slash16(topo.nodes[n].ip) for n in self._node_order}
         self.dial_veto = None  # pure callable(a, b) -> True to refuse the dial; `_dial` asks it last
         self.tip_series = {n: [(0.0, 0)] for n in self._node_order}
-        self.mined: list[MinedBlock] = []
-        self.last_mine_time = 0.0
+        self.mined: list[pr.Block] = []
         self.dials = 0
         self.disconnects = 0
         self._blocks_left = self.params.blocks
@@ -143,13 +119,14 @@ class Simulation:
 
     # ---- connections ----
 
-    def _connect(self, a: str, b: str, kind: str = "out") -> None:
+    def _connect(self, a: str, b: str, dialed: bool = True) -> None:
+        """Join a and b: `a` dialed `b`, or neither dialed (a pool fabric clique)."""
         na, nb = self.nodes[a], self.nodes[b]
-        if kind == "out":
+        if dialed:
             self.dials += 1
-        acts_a = na.on_connect(b, "clique" if kind == "clique" else "out", self.now)
-        acts_b = nb.on_connect(a, "clique" if kind == "clique" else "in", self.now)
-        if self.delay_attacker is not None and kind == "out":
+        acts_a = na.on_connect(b, dialed, self.now)
+        acts_b = nb.on_connect(a, False, self.now)
+        if self.delay_attacker is not None and dialed:
             self.delay_attacker.on_connect(a, b)
         # on_connect never moves the tip, so an empty action list has nothing to execute
         if acts_a:
@@ -188,12 +165,12 @@ class Simulation:
         for _ in range(24):
             cand = order[randrange(n)]
             if eligible(cand):
-                self._connect(nid, cand, "out")
+                self._connect(nid, cand)
                 return True
         candidates = [c for c in order if eligible(c)]
         if not candidates:
             return False
-        self._connect(nid, self.rng_net.choice(candidates), "out")
+        self._connect(nid, self.rng_net.choice(candidates))
         return True
 
     def _disconnect(self, a: str, b: str, refill_a: bool = True) -> None:
@@ -218,11 +195,11 @@ class Simulation:
         for a in self._node_order:
             for b in sorted(self.topo.fabric_of(a)):
                 if a < b:
-                    self._connect(a, b, "clique")
+                    self._connect(a, b, dialed=False)
         if self.params.connections is not None:
             for a, b in self.params.connections:
                 if b not in self.nodes[a].peers:
-                    self._connect(a, b, "out")
+                    self._connect(a, b)
         else:
             for nid in self._node_order:
                 while len(self.nodes[nid].outgoing) < self.params.outgoing_target:
@@ -290,7 +267,8 @@ class Simulation:
 
             self.schedule_control(active_at, activate)
             if end is not None:
-                self.schedule_control(float(end), deactivate)
+                # never before activation, which would leave the hijack on for good
+                self.schedule_control(max(float(end), active_at), deactivate)
         elif kind == "delay":
             if "coalition" in ap:
                 coalition = ap["coalition"]
@@ -424,10 +402,9 @@ class Simulation:
         parent = self.nodes[inserted[0]].chain.tip
         block = pr.make_block(parent, miner, self._next_index, self.now)
         self._next_index += 1
-        self.mined.append(MinedBlock(self.now, block, miner))
-        self.last_mine_time = self.now
+        self.mined.append(block)
         if self.partition_attacker is not None and self._coverage is not None:
-            self.partition_attacker.register_block(block.hash, set(inserted), self.now)
+            self.partition_attacker.register_block(block.hash, set(inserted))
         for nid in inserted:
             self._execute(nid, self.nodes[nid].accept_block(block, self.now))
         if self._blocks_left > 0:
@@ -458,7 +435,7 @@ class Simulation:
         node.advertisers.clear()
         for g in sorted(self.topo.fabric_of(nid)):
             if g != nid and g not in node.peers:
-                self._connect(nid, g, "clique")
+                self._connect(nid, g, dialed=False)
         for _ in range(self.params.outgoing_target):
             if not self._dial(nid):
                 break
@@ -508,35 +485,21 @@ class Simulation:
             for handler, args in bucket:
                 handler(self, *args)
 
-    def run(self) -> RunResult:
+    def run(self) -> "Simulation":
+        """Run to the end and return this finished simulation, the run's result."""
         self._install_attack()
         self._setup_connections()
         self._schedule_initial()
         self._run_queue()
-        report = None
         if self.partition_attacker is not None:
             self.partition_attacker.sweep(self.now)
-            report = self.partition_attacker.report()
-        return RunResult(
-            seed=self.seed,
-            config_digest=self.topo.config_digest(),
-            params=self.params,
-            mined=self.mined,
-            last_mine_time=self.last_mine_time,
-            tip_series=self.tip_series,
-            nodes=self.nodes,
-            partition=report,
-            partition_attacker=self.partition_attacker,
-            delay_attacker=self.delay_attacker,
-            dials=self.dials,
-            disconnects=self.disconnects,
-        )
+        return self
 
 
 # -- experiment drivers ------------------------------------------------------------
 
 
-def run_scenario(raw, seed: int, overrides: dict | None = None, end_time: float | None = None) -> RunResult:
+def run_scenario(raw, seed: int, overrides: dict | None = None, end_time: float | None = None) -> Simulation:
     topo = raw if isinstance(raw, tp.Topology) else tp.load_topology(raw)
     return Simulation(topo, seed, overrides, topo.attack, end_time).run()
 
@@ -639,7 +602,3 @@ def run_healing(raw, seed: int, onpath: float = 0.0, overrides: dict | None = No
         t += HEAL_SAMPLE_EVERY
     sim.run()
     return result
-
-
-def run_healing_seeds(raw: dict, seeds, onpath: float, overrides: dict | None = None) -> list[HealResult]:
-    return _map_tasks(run_healing, [(raw, s, onpath, overrides) for s in seeds])

@@ -60,11 +60,11 @@ def p50_propagation(run) -> tuple[float | None, bool]:
     n_nodes = len(run.nodes)
     half = -(-n_nodes // 2)  # ceil
     delays, partial = [], False
-    for mb in run.mined:
+    for block in run.mined:
         arrivals = sorted(
-            node.chain.arrival[mb.block.hash] - mb.time
+            node.chain.arrival[block.hash] - block.created
             for node in run.nodes.values()
-            if mb.block.hash in node.chain.arrival
+            if block.hash in node.chain.arrival
         )
         if not arrivals:
             partial = True
@@ -130,7 +130,7 @@ class MetricsReport:
 
 
 def summarize(run) -> MetricsReport:
-    """Distill one run into a MetricsReport.
+    """Distill one finished `engine.Simulation` into a MetricsReport.
 
     When the run carried a single-victim delay attack, the victim is compared
     against a node literally named "ref" if the scenario ships one.
@@ -138,36 +138,36 @@ def summarize(run) -> MetricsReport:
     observer = run.nodes[min(run.nodes)]
     mined_total = len(run.mined)
     blocks_mined: dict[str, int] = {}
-    for mb in run.mined:
-        blocks_mined[mb.miner] = blocks_mined.get(mb.miner, 0) + 1
+    for b in run.mined:
+        blocks_mined[b.miner] = blocks_mined.get(b.miner, 0) + 1
     on_chain = set(observer.chain.main_chain())
     blocks_in_chain: dict[str, int] = {}
-    for mb in run.mined:
-        if mb.block.hash in on_chain:
-            blocks_in_chain[mb.miner] = blocks_in_chain.get(mb.miner, 0) + 1
+    for b in run.mined:
+        if b.hash in on_chain:
+            blocks_in_chain[b.miner] = blocks_in_chain.get(b.miner, 0) + 1
 
     uninformed = {}
     da = run.delay_attacker
     if da is not None and da.mode == "node" and da.victim and "ref" in run.nodes:
+        last_mined = run.mined[-1].created if run.mined else 0.0
         uninformed[da.victim] = uninformed_fraction(
-            run.tip_series[da.victim], run.tip_series["ref"], run.last_mine_time
+            run.tip_series[da.victim], run.tip_series["ref"], last_mined
         )
 
     partition = None
     if run.partition_attacker is not None:
-        rep = run.partition_attacker.report()
-        external_in_isolated = sum(
+        partition = run.partition_attacker.report()
+        partition["external_blocks_in_isolated"] = sum(
             1
-            for nid in rep.isolated
+            for nid in partition["isolated"]
             for h in run.nodes[nid].chain.blocks
             if run.partition_attacker.is_external(h)
         )
-        partition = dict(rep.to_dict(), external_blocks_in_isolated=external_in_isolated)
 
     p50, flagged = p50_propagation(run)
-    report = MetricsReport(
+    return MetricsReport(
         seed=run.seed,
-        config=run.config_digest,
+        config=run.topo.config_digest(),
         orphan_rate=orphan_rate(observer.chain, mined_total) if mined_total else 0.0,
         prop_delay_p50=p50,
         prop_delay_partial=flagged,
@@ -176,7 +176,6 @@ def summarize(run) -> MetricsReport:
         blocks_in_chain=blocks_in_chain,
         partition=partition,
     )
-    return report
 
 
 def emit(reports, fmt: str = "json") -> bytes:

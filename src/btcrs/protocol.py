@@ -165,23 +165,24 @@ class Node:
     def __init__(self, node_id: str):
         self.node_id = node_id
         self.chain = ChainView()
-        self.peers: dict[str, str] = {}  # peer -> direction: "out" | "in" | "clique"
+        self.peers: set[str] = set()
         self.pending: dict[bytes, Pending] = {}
         self.advertisers: dict[bytes, list[str]] = {}
         self._outgoing: set[str] = set()
 
     @property
     def outgoing(self) -> set[str]:
-        """The peers this node dialed ("out" in `peers`).
+        """The peers this node dialed, a subset of `peers`.
 
         This is the live set that `on_connect` and `on_disconnect` keep
         current, not a copy: callers must not mutate it.
         """
         return self._outgoing
 
-    def on_connect(self, peer: str, direction: str, now: float) -> list:
-        self.peers[peer] = direction
-        if direction == "out":
+    def on_connect(self, peer: str, dialed: bool, now: float) -> list:
+        """A connection to `peer` opened; `dialed` is True when this node dialed it."""
+        self.peers.add(peer)
+        if dialed:
             self._outgoing.add(peer)
         else:
             self._outgoing.discard(peer)  # a re-added peer may have changed direction
@@ -190,7 +191,7 @@ class Node:
         return []
 
     def on_disconnect(self, peer: str) -> None:
-        self.peers.pop(peer, None)
+        self.peers.discard(peer)
         self._outgoing.discard(peer)
 
     def _request(self, h: bytes, peer: str, now: float) -> list:

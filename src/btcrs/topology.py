@@ -624,10 +624,14 @@ def _check_attack(attack, nodes: dict, countries: dict[int, str]) -> None:
         _require(isinstance(t, str) and t in nodes, "attack.target", f"unknown node {t!r}")
     ap = attack.get("params", {})
     _require(isinstance(ap, dict), "attack.params", "must be an object")
-    for key in ("start", "end"):  # control events before time 0 would run the clock backwards
-        value = ap.get(key, 0)
-        _require(value is None or _is_number(value) and value >= 0, f"attack.params.{key}",
-                 f"must be a number >= 0, got {value!r}")
+    if kind == "delay":  # a delay attack runs from the first event to the last
+        for key in ("start", "end"):
+            _require(key not in ap, f"attack.params.{key}", "applies to a partition attack only")
+    # control events before time 0 would run the clock backwards, and a lift before the start never lifts
+    start, end = ap.get("start", 0), ap.get("end")
+    _require(_is_number(start) and start >= 0, "attack.params.start", f"must be a number >= 0, got {start!r}")
+    _require(end is None or _is_number(end) and end >= start, "attack.params.end",
+             f"must be null or a number >= start, got {end!r}")
     if kind == "partition" and ap.get("mode") != "perfect":
         attacker = ap.get("attacker_as")
         _require(isinstance(attacker, int) and not isinstance(attacker, bool),

@@ -59,9 +59,10 @@ def test_criterion_2_partition_matches_planner():
         targets = set(raw["attack"]["target"])
         expect = planner.maximal_isolatable(topo, targets)
         res = engine.run_scenario(raw, seed=case)
-        kept = targets - set(res.partition.leaked)
+        rep = res.partition_attacker.report()
+        kept = targets - set(rep["leaked"])
         matches += kept == expect
-        for nid in res.partition.isolated:
+        for nid in rep["isolated"]:
             for h in res.nodes[nid].chain.blocks:
                 external_hits += res.partition_attacker.is_external(h)
     elapsed = perf_counter() - t0
@@ -134,7 +135,7 @@ def test_criterion_4_exact_timeout_mechanics():
     raw = duet("incoming")
     full = engine.run_scenario(raw, seed=0)
     b = full.mined[0]
-    deadline = (b.time + leg) + 1200.0  # INV arrival = request time
+    deadline = (b.created + leg) + 1200.0  # INV arrival = request time
     starved = (
         full.nodes["v"].chain.tip.height == 0
         and full.delay_attacker.corruptions == 1
@@ -144,7 +145,7 @@ def test_criterion_4_exact_timeout_mechanics():
     before = engine.run_scenario(raw, seed=0, end_time=math.nextafter(deadline, 0.0))
     at = engine.run_scenario(raw, seed=0, end_time=deadline)
     exact = (
-        before.nodes["v"].pending[b.block.hash].deadline == deadline
+        before.nodes["v"].pending[b.hash].deadline == deadline
         and "p" in before.nodes["v"].peers
         and "p" not in at.nodes["v"].peers
     )
@@ -152,11 +153,11 @@ def test_criterion_4_exact_timeout_mechanics():
     # outgoing rewrite with tx chatter: block restored late, no disconnect
     res = engine.run_scenario(duet("outgoing", tx_rate=0.02), seed=0)
     b2 = res.mined[0]
-    arrival = res.nodes["v"].chain.arrival.get(b2.block.hash)
+    arrival = res.nodes["v"].chain.arrival.get(b2.hash)
     restored = (
-        res.nodes["v"].chain.tip.hash == b2.block.hash
+        res.nodes["v"].chain.tip.hash == b2.hash
         and arrival is not None
-        and b2.time + leg < arrival < b2.time + leg + 1200.0
+        and b2.created + leg < arrival < b2.created + leg + 1200.0
         and res.disconnects == 0
         and res.delay_attacker.rewrites == 1
         and res.delay_attacker.restores == 1
@@ -164,7 +165,7 @@ def test_criterion_4_exact_timeout_mechanics():
     ok = starved and exact and restored
     check(4, ok, "incoming: 0 valid copies, disconnect exactly at request+1200s "
                  f"(t={deadline:.4f}, tolerance 0); outgoing: restored "
-                 f"{arrival - b2.time:.1f}s after mining, no disconnect")
+                 f"{arrival - b2.created:.1f}s after mining, no disconnect")
 
 
 # -- 5. multihoming sweep -------------------------------------------------------------

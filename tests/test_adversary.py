@@ -31,7 +31,7 @@ def inv_of(*blocks):
 def test_forwarding_matrix():
     a = adv.PartitionAttacker({"a", "b"}, threshold=600.0, now=0.0)
     internal = mk(G, "a", 0)
-    a.register_block(internal.hash, "a", 1.0)
+    a.register_block(internal.hash, {"a"})
     msg = inv_of(internal)
     assert a.tick("a", "b", msg, 2.0) is True  # member to member, clean
     assert a.tick("o", "b", msg, 3.0) is False  # outsider talking in
@@ -42,20 +42,20 @@ def test_forwarding_matrix():
 def test_external_inv_marks_the_source_leaked():
     a = adv.PartitionAttacker({"a", "b"}, threshold=600.0, now=0.0)
     ext = mk(G, "outsider", 0)
-    a.register_block(ext.hash, "outsider", 5.0)
+    a.register_block(ext.hash, {"outsider"})
     assert a.tick("a", "b", inv_of(ext), 6.0) is False
     assert a.leaked == {"a"}
     assert a.leak_events == [(6.0, "a")]
     # everything from a leaked member is dropped from then on, clean or not
     internal = mk(G, "b", 1)
-    a.register_block(internal.hash, "b", 7.0)
+    a.register_block(internal.hash, {"b"})
     assert a.tick("a", "b", inv_of(internal), 8.0) is False
 
 
 def test_external_block_message_leaks_but_getdata_does_not():
     a = adv.PartitionAttacker({"a", "b"}, threshold=600.0, now=0.0)
     ext = mk(G, "outsider", 0)
-    a.register_block(ext.hash, "outsider", 5.0)
+    a.register_block(ext.hash, {"outsider"})
     # asking for a hash is not proof of possession; the reply would be
     assert a.tick("a", "b", pr.GetDataMsg([(wire.INV_BLOCK, ext.hash)]), 6.0) is True
     assert a.leaked == set()
@@ -66,12 +66,12 @@ def test_external_block_message_leaks_but_getdata_does_not():
 def test_externality_is_judged_at_mining_time():
     a = adv.PartitionAttacker({"a", "b"}, threshold=600.0, now=0.0)
     early = mk(G, "a", 0)
-    a.register_block(early.hash, "a", 1.0)  # a is still monitored: internal
+    a.register_block(early.hash, {"a"})  # a is still monitored: internal
     ext = mk(G, "outsider", 1)
-    a.register_block(ext.hash, "outsider", 2.0)
+    a.register_block(ext.hash, {"outsider"})
     a.tick("a", "b", inv_of(ext), 3.0)  # a leaks
     late = mk(early, "a", 2)
-    a.register_block(late.hash, "a", 4.0)  # mined by a leaked member: external
+    a.register_block(late.hash, {"a"})  # mined by a leaked member: external
     assert not a.is_external(early.hash)  # no retroactive reclassification
     assert a.is_external(late.hash)
     assert not a.is_external(G.hash)
@@ -87,7 +87,7 @@ def test_tx_chatter_is_forwarded_and_counts_as_liveness():
 def test_liveness_sweep_tracks_silence():
     a = adv.PartitionAttacker({"a", "b", "c"}, threshold=600.0, now=0.0)
     blk = mk(G, "a", 0)
-    a.register_block(blk.hash, "a", 1.0)
+    a.register_block(blk.hash, {"a"})
     a.tick("a", "b", inv_of(blk), 550.0)
     a.sweep(700.0)
     assert a.unresponsive == {"b", "c"}  # silent since t=0
@@ -96,14 +96,14 @@ def test_liveness_sweep_tracks_silence():
     a.sweep(720.0)
     assert a.unresponsive == {"c"}
     ext = mk(G, "o", 9)
-    a.register_block(ext.hash, "o", 730.0)
+    a.register_block(ext.hash, {"o"})
     a.tick("c", "a", inv_of(ext), 740.0)  # c leaks: leaves U, joins L
     assert a.leaked == {"c"} and "c" not in a.unresponsive
     a.sweep(5000.0)
     assert "c" not in a.unresponsive  # leaked members are not tracked
     rep = a.report()
-    assert rep.isolated == sorted({"a", "b"} - set(rep.unresponsive))
-    assert rep.to_dict()["leaked"] == ["c"]
+    assert rep["isolated"] == sorted({"a", "b"} - set(rep["unresponsive"]))
+    assert rep["leaked"] == ["c"]
 
 
 @settings(max_examples=150, deadline=None)
@@ -112,8 +112,8 @@ def test_liveness_sweep_tracks_silence():
 def test_monitored_is_partition_minus_leaked(steps):
     a = adv.PartitionAttacker({"a", "b", "c"}, threshold=5.0, now=0.0)
     ext, internal = mk(G, "x", 0), mk(G, "a", 1)
-    a.register_block(ext.hash, "x", 0.0)
-    a.register_block(internal.hash, "a", 0.0)
+    a.register_block(ext.hash, {"x"})
+    a.register_block(internal.hash, {"a"})
     msgs = {"external": inv_of(ext), "internal": inv_of(internal),
             "getdata": pr.GetDataMsg([(wire.INV_BLOCK, ext.hash)])}
     for now, (src, dst, what) in enumerate(steps, start=1):
@@ -138,8 +138,8 @@ class Pipe:
         self.p = pr.Node("p")
         self.attacker = attacker
         attacker.on_connect("v", "p")
-        self.v.on_connect("p", "out", 0.0)
-        self.p.on_connect("v", "in", 0.0)
+        self.v.on_connect("p", True, 0.0)
+        self.p.on_connect("v", False, 0.0)
         self.timers = []  # Timers for the victim's TIMER actions
         self.disconnects = []  # (who, peer, time)
 

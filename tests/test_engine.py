@@ -48,8 +48,8 @@ def test_same_seed_same_run():
     raw = paperlike()
     a = engine.run_scenario(raw, seed=7)
     b = engine.run_scenario(raw, seed=7)
-    assert [(m.time, m.block.hash, m.miner) for m in a.mined] == [
-        (m.time, m.block.hash, m.miner) for m in b.mined
+    assert [(m.created, m.hash, m.miner) for m in a.mined] == [
+        (m.created, m.hash, m.miner) for m in b.mined
     ]
     assert a.tip_series == b.tip_series
     assert (a.dials, a.disconnects) == (b.dials, b.disconnects)
@@ -59,15 +59,15 @@ def test_different_seeds_differ():
     raw = paperlike()
     a = engine.run_scenario(raw, seed=1)
     b = engine.run_scenario(raw, seed=2)
-    assert [m.time for m in a.mined] != [m.time for m in b.mined]
+    assert [m.created for m in a.mined] != [m.created for m in b.mined]
 
 
 def test_config_digest_tracks_content():
     raw = paperlike()
-    d1 = engine.run_scenario(raw, seed=0).config_digest
+    d1 = engine.run_scenario(raw, seed=0).topo.config_digest()
     raw2 = copy.deepcopy(raw)
     raw2["params"]["per_hop_delay"] = 9.9
-    d2 = engine.run_scenario(raw2, seed=0).config_digest
+    d2 = engine.run_scenario(raw2, seed=0).topo.config_digest()
     assert d1 != d2 and len(d1) == 16
 
 
@@ -127,12 +127,12 @@ class HeapSimulation(engine.Simulation):
             handler = {pr.InvMsg: node.on_inv, pr.GetDataMsg: node.on_getdata, pr.BlockMsg: node.on_block}
             self._execute(dst, handler[type(msg)](src, msg, self.now))
 
-    def _connect(self, a, b, kind="out"):
-        if kind == "out":
+    def _connect(self, a, b, dialed=True):
+        if dialed:
             self.dials += 1
-        acts_a = self.nodes[a].on_connect(b, "clique" if kind == "clique" else "out", self.now)
-        acts_b = self.nodes[b].on_connect(a, "clique" if kind == "clique" else "in", self.now)
-        if self.delay_attacker is not None and kind == "out":
+        acts_a = self.nodes[a].on_connect(b, dialed, self.now)
+        acts_b = self.nodes[b].on_connect(a, False, self.now)
+        if self.delay_attacker is not None and dialed:
             self.delay_attacker.on_connect(a, b)
         self._execute(a, acts_a)
         self._execute(b, acts_b)
@@ -161,12 +161,12 @@ class HeapSimulation(engine.Simulation):
         for _ in range(24):
             cand = order[self.rng_net.randrange(len(order))]
             if eligible(cand):
-                self._connect(nid, cand, "out")
+                self._connect(nid, cand)
                 return True
         candidates = [c for c in order if eligible(c)]
         if not candidates:
             return False
-        self._connect(nid, self.rng_net.choice(candidates), "out")
+        self._connect(nid, self.rng_net.choice(candidates))
         return True
 
     def cross_fraction(self, side):
@@ -209,14 +209,15 @@ def _run_state(cls, topo, seed, inject=None):
     res = sim.run()
     return {
         "now": sim.now,
-        "mined": [(m.time, m.block.hash, m.miner) for m in res.mined],
+        "mined": [(m.created, m.hash, m.miner) for m in res.mined],
         "tip_series": res.tip_series,
         "dials": res.dials,
         "disconnects": res.disconnects,
-        "partition": res.partition and res.partition.to_dict(),
+        "partition": res.partition_attacker and res.partition_attacker.report(),
         "tampering": res.delay_attacker and (res.delay_attacker.rewrites, res.delay_attacker.restores,
                                              res.delay_attacker.corruptions),
-        "nodes": {nid: (n.chain.arrival, n.pending, n.advertisers, n.peers) for nid, n in res.nodes.items()},
+        "nodes": {nid: (n.chain.arrival, n.pending, n.advertisers, n.peers, n.outgoing)
+                  for nid, n in res.nodes.items()},
         "pushed": pushed,
     }
 
@@ -405,6 +406,21 @@ def test_delay_node_scenario_rejects_relay_counts_it_cannot_wire(n_relays):
         synth.delay_node_scenario(n_relays=n_relays)
 
 
+def test_hijack_lifted_before_it_takes_effect_lifts_as_it_takes_effect():
+    # `end` passes the load check against `start`, but the hijack takes effect
+    # only `convergence_delay` later, which `--set` can change after loading
+    raw = synth.two_halves(n_nodes=60, n_as=6, seed=0)
+    raw["attack"] = {"kind": "partition", "target": raw["attack"]["target"],
+                     "params": {"attacker_as": 8, "start": 0.0, "end": 100.0}}
+    raw["params"].update(blocks=4, block_interval_mean=120.0, drain_time=1500.0)
+    early = engine.run_scenario(raw, seed=0, overrides={"convergence_delay": 300.0})
+    raw["attack"]["params"]["end"] = 300.0
+    on_time = engine.run_scenario(raw, seed=0, overrides={"convergence_delay": 300.0})
+    assert early.partition_attacker.report() == on_time.partition_attacker.report()
+    assert (early.partition_attacker.forwarded, early.partition_attacker.dropped) == (0, 0)
+    assert [b.hash for b in early.mined] == [b.hash for b in on_time.mined]
+
+
 # ---------------------------------------------------------------- connections --
 
 
@@ -495,7 +511,7 @@ def test_onpath_dropping_slows_recovery(heal_pair):
 
 def test_healing_seeds_fan_out():
     raw = synth.two_halves(n_nodes=120, n_as=8, seed=0)
-    results = engine.run_healing_seeds(raw, seeds=[0, 1], onpath=0.0)
+    results = engine._map_tasks(engine.run_healing, [(raw, seed, 0.0) for seed in (0, 1)])
     assert sorted(r.seed for r in results) == [0, 1]
     d = results[0].to_dict()
     assert set(d) == {"seed", "onpath", "baseline_cross_fraction", "samples", "final_ratio"}

@@ -88,11 +88,10 @@ def test_p50_is_three_legs_on_a_full_mesh():
 
 def test_p50_flags_blocks_that_never_spread():
     res = engine.run_scenario(mesh3(), seed=4)
-    res.mined[0].block  # keep a real block, but hide it from everyone
-    lonely = res.mined[0]
+    lonely = res.mined[0]  # keep a real block, but hide it from everyone
     for node in res.nodes.values():
-        node.chain.arrival.pop(lonely.block.hash, None)
-    res.nodes[lonely.miner].chain.arrival[lonely.block.hash] = lonely.time
+        node.chain.arrival.pop(lonely.hash, None)
+    res.nodes[lonely.miner].chain.arrival[lonely.hash] = lonely.created
     p50, partial = metrics.p50_propagation(res)
     assert partial is True
 
@@ -114,7 +113,7 @@ def test_summary_counts_are_consistent(paperlike_report):
         assert k <= rep.blocks_mined[miner]
     on_chain = sum(rep.blocks_in_chain.values())
     assert rep.orphan_rate == pytest.approx(1 - on_chain / len(res.mined))
-    assert rep.config == res.config_digest
+    assert rep.config == res.topo.config_digest()
 
 
 def test_chain_exceeding_mined_is_rejected():

@@ -1,0 +1,21 @@
+"""The benchmark command runs against this tree: span names and run attributes it reads still exist."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("workload", ["heal", "coalition"])
+def test_traced_benchmark_run_is_correct(workload):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload, "--trace", "1",
+         "--sim-seeds", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True, proc.stderr

@@ -79,8 +79,8 @@ def test_duplicate_orphans_buffer_once():
 
 def test_inv_requests_from_first_advertiser_only():
     n = pr.Node("n")
-    n.on_connect("p1", "out", 0.0)
-    n.on_connect("p2", "out", 0.0)
+    n.on_connect("p1", True, 0.0)
+    n.on_connect("p2", True, 0.0)
     b = pr.make_block(G, "a", 0, 5.0)
     acts = n.on_inv("p1", pr.block_inv(b.hash), 5.0)
     gd = sends(acts, pr.GetDataMsg)
@@ -96,7 +96,7 @@ def test_inv_requests_from_first_advertiser_only():
 def test_block_delivery_clears_pending_and_relays():
     n = pr.Node("n")
     for p in ("p1", "p2", "p3"):
-        n.on_connect(p, "out", 0.0)
+        n.on_connect(p, True, 0.0)
     b = pr.make_block(G, "a", 0, 5.0)
     n.on_inv("p1", pr.block_inv(b.hash), 5.0)
     acts = n.on_block("p1", pr.BlockMsg(b), 7.0)
@@ -109,7 +109,7 @@ def test_block_delivery_clears_pending_and_relays():
 def test_accept_block_announces_once_to_sorted_peers_but_the_sender():
     n = pr.Node("n")
     for p in ("p3", "p1", "p4", "p2"):
-        n.on_connect(p, "out", 0.0)
+        n.on_connect(p, True, 0.0)
     b = pr.make_block(G, "a", 0, 5.0)
     acts = n.accept_block(b, 5.0, exclude="p2")
     assert acts == [(pr.SEND, ["p1", "p3", "p4"], pr.block_inv(b.hash))]
@@ -118,7 +118,7 @@ def test_accept_block_announces_once_to_sorted_peers_but_the_sender():
 def test_timeout_disconnects_and_walks_advertiser_list():
     n = pr.Node("n")
     for p in ("p1", "p2", "p3"):
-        n.on_connect(p, "out", 0.0)
+        n.on_connect(p, True, 0.0)
     b = pr.make_block(G, "a", 0, 5.0)
     n.on_inv("p1", pr.block_inv(b.hash), 5.0)
     n.on_inv("p2", pr.block_inv(b.hash), 6.0)
@@ -137,7 +137,7 @@ def test_timeout_disconnects_and_walks_advertiser_list():
 
 def test_stale_timer_is_ignored():
     n = pr.Node("n")
-    n.on_connect("p1", "out", 0.0)
+    n.on_connect("p1", True, 0.0)
     b = pr.make_block(G, "a", 0, 5.0)
     n.on_inv("p1", pr.block_inv(b.hash), 5.0)
     n.on_block("p1", pr.BlockMsg(b), 6.0)
@@ -147,7 +147,7 @@ def test_stale_timer_is_ignored():
 
 def test_corrupted_block_keeps_pending_until_timeout():
     n = pr.Node("n")
-    n.on_connect("p1", "out", 0.0)
+    n.on_connect("p1", True, 0.0)
     b = pr.make_block(G, "a", 0, 5.0)
     n.on_inv("p1", pr.block_inv(b.hash), 5.0)
     acts = n.on_block("p1", pr.BlockMsg(b, valid=False), 6.0)
@@ -159,7 +159,7 @@ def test_corrupted_block_keeps_pending_until_timeout():
 
 def test_unknown_parent_triggers_parent_fetch():
     n = pr.Node("n")
-    n.on_connect("p1", "out", 0.0)
+    n.on_connect("p1", True, 0.0)
     b1, b2 = chained(2)
     acts = n.on_block("p1", pr.BlockMsg(b2), 4.0)
     gd = sends(acts, pr.GetDataMsg)
@@ -174,7 +174,7 @@ def test_unknown_parent_triggers_parent_fetch():
 
 def test_getdata_serves_only_known_blocks():
     n = pr.Node("n")
-    n.on_connect("p1", "in", 0.0)
+    n.on_connect("p1", False, 0.0)
     b = pr.make_block(G, "a", 0, 5.0)
     n.accept_block(b, 5.0)
     unknown = bytes(32)
@@ -189,24 +189,28 @@ def test_getdata_serves_only_known_blocks():
 
 def test_connect_announces_current_tip():
     n = pr.Node("n")
-    assert n.on_connect("p1", "out", 0.0) == []  # nothing to brag about at genesis
+    assert n.on_connect("p1", True, 0.0) == []  # nothing to brag about at genesis
     b = pr.make_block(G, "a", 0, 5.0)
     n.accept_block(b, 5.0)
-    acts = n.on_connect("p2", "in", 6.0)
+    acts = n.on_connect("p2", False, 6.0)
     assert sends(acts, pr.InvMsg)[0][1].items == [(wire.INV_BLOCK, b.hash)]
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(["p1", "p2", "p3"]),
-                          st.sampled_from(["out", "in", "clique", "disconnect"])), max_size=40))
+                          st.sampled_from([True, False, "disconnect"])), max_size=40))
 def test_outgoing_follows_connects_and_disconnects(steps):
     n = pr.Node("n")
+    model = {}  # peer -> whether n dialed it
     for peer, what in steps:
         if what == "disconnect":
             n.on_disconnect(peer)
+            model.pop(peer, None)
         else:
             n.on_connect(peer, what, 0.0)  # a connected peer may come back in another direction
-        assert n.outgoing == {p for p, d in n.peers.items() if d == "out"}
+            model[peer] = what
+        assert n.peers == set(model)
+        assert n.outgoing == {p for p, dialed in model.items() if dialed}
 
 
 def test_orphan_rate_counts_off_chain_blocks():
@@ -276,7 +280,7 @@ def test_never_two_outstanding_requests_per_hash(n_peers, rng):
     n = pr.Node("n")
     peers = [f"p{i}" for i in range(n_peers)]
     for p in peers:
-        n.on_connect(p, "out", 0.0)
+        n.on_connect(p, True, 0.0)
     b = pr.make_block(G, "a", 0, 1.0)
     outstanding = 0
     for t in range(30):

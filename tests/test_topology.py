@@ -266,6 +266,20 @@ def test_load_minimal_scenario():
                        "params": {"attacker_as": 2, "announced": ["10.1.0.0/16", bad]}}},
            "attack.params.announced[1]")
           for bad in ("1.0.0.1/17", "1.0.0.0/x", "1.0.0.0/25", ["1.0.0.0", 17])),
+        # a null start used to pass the load check and then crash the run
+        ({"attack": {"kind": "partition", "target": ["n1"], "params": {"mode": "perfect", "start": None}}},
+         "attack.params.start"),
+        ({"attack": {"kind": "partition", "target": ["n1"], "params": {"attacker_as": 2, "start": None}}},
+         "attack.params.start"),
+        ({"attack": {"kind": "delay", "target": ["n1"], "params": {"start": None}}}, "attack.params.start"),
+        # a lift before the start fires first, leaving the partition on for the whole run
+        ({"attack": {"kind": "partition", "target": ["n1"], "params": {"mode": "perfect", "start": 600, "end": 300}}},
+         "attack.params.end"),
+        ({"attack": {"kind": "partition", "target": ["n1"], "params": {"attacker_as": 2, "start": 600, "end": 300}}},
+         "attack.params.end"),
+        # a delay attack runs the whole simulation, so a window would be silently ignored
+        ({"attack": {"kind": "delay", "target": ["n1"], "params": {"start": 300}}}, "attack.params.start"),
+        ({"attack": {"kind": "delay", "target": ["n1"], "params": {"end": 300}}}, "attack.params.end"),
     ],
 )
 def test_scenario_validation_errors(mutation, fragment):
