@@ -15,8 +15,9 @@ so `correct` then reflects only the workload's own checks.
 
 The result is one JSON file: per workload and per `end_to_end` metric of the
 change's BENCHMARK.json, the value of every pair on each side, each side's
-median and quartiles, and `wins`, the number of pairs in which the change is
-better.  Each run's `correct` and `failed` are kept too.  With `--label NAME`
+median and quartiles, `wins`, the number of pairs in which the change is
+better, and `verdict` (see `verdict`), which is also printed.  Each run's
+`correct` and `failed` are kept too.  With `--label NAME`
 the record is stored under NAME in the `--out` file, next to the records
 already there, so one file can hold the pinned and the held-out seeds:
 
@@ -69,6 +70,51 @@ def wins(parent: list[float], change: list[float], better: str) -> int:
     return sum(c > p for p, c in zip(parent, change))
 
 
+def verdict(m: dict) -> str:
+    """One metric's verdict over its pairs: `gain`, `worse than bound`, `unresolved` or `no change`.
+
+    A gain needs the change better in at least nine tenths of the pairs and
+    the medians apart, in its favour, by more than the parent's
+    interquartile range.  Worse than bound means the change's median is
+    worse than the parent's by more than the metric's `bound`, a fraction of
+    the parent's median (no bound counts as 0).  Otherwise the metric is
+    unresolved when either side's interquartile range is wider than that
+    bound, unless every run of the change beats every run of the parent, and
+    no change when it is not.
+    """
+    parent, change = m["parent"], m["change"]
+    if m["better"] == "lower":
+        gain = parent["median"] - change["median"]  # > 0 when the change's median is better
+        every_run_better = max(change["values"]) < min(parent["values"])
+    else:
+        gain = change["median"] - parent["median"]
+        every_run_better = min(change["values"]) > max(parent["values"])
+    if 10 * m["wins"] >= 9 * m["pairs"] and gain > parent["q3"] - parent["q1"]:
+        return "gain"
+    allowed = (m["bound"] or 0.0) * abs(parent["median"])
+    if -gain > allowed:
+        return "worse than bound"
+    widest = max(parent["q3"] - parent["q1"], change["q3"] - change["q1"])
+    if widest > allowed and not every_run_better:
+        return "unresolved"
+    return "no change"
+
+
+def metric_record(metric: dict, parent: list[float], change: list[float]) -> dict:
+    """The record of one `end_to_end` metric over the pairs: each side's values and spread, wins and verdict."""
+    m = {
+        "unit": metric["unit"],
+        "better": metric["better"],
+        "bound": metric.get("bound"),
+        "parent": {"values": parent, **spread(parent)},
+        "change": {"values": change, **spread(change)},
+        "wins": wins(parent, change, metric["better"]),
+        "pairs": len(parent),
+    }
+    m["verdict"] = verdict(m)
+    return m
+
+
 def bad_runs(record: dict) -> list[str]:
     """One line for each run of `record` that reported `correct: false` or `failed > 0`."""
     bad = []
@@ -99,14 +145,7 @@ def workload_pairs(dirs: dict[str, Path], workload: str, pairs: int, metrics: li
     for metric in metrics:
         name = metric["name"]
         values = {side: [r["result"]["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
-        out["metrics"][name] = {
-            "unit": metric["unit"],
-            "better": metric["better"],
-            "bound": metric.get("bound"),
-            **{side: {"values": values[side], **spread(values[side])} for side in SIDES},
-            "wins": wins(values["parent"], values["change"], metric["better"]),
-            "pairs": pairs,
-        }
+        out["metrics"][name] = metric_record(metric, values["parent"], values["change"])
     return out
 
 
@@ -144,7 +183,8 @@ def main(argv=None) -> int:
         for name, m in res["metrics"].items():
             print(f"{w} {name}: parent {m['parent']['median']:.4g} [{m['parent']['q1']:.4g}, "
                   f"{m['parent']['q3']:.4g}]  change {m['change']['median']:.4g} [{m['change']['q1']:.4g}, "
-                  f"{m['change']['q3']:.4g}] {m['unit']}; change better in {m['wins']}/{m['pairs']}")
+                  f"{m['change']['q3']:.4g}] {m['unit']}; change better in {m['wins']}/{m['pairs']}: "
+                  f"{m['verdict']}")
     bad = bad_runs(record)
     for line in bad:
         print(f"incorrect run: {line}", file=sys.stderr)

@@ -157,9 +157,13 @@ def _cmd_heal(args) -> int:
 
 def _cmd_delay_node(args) -> int:
     raw = _load_scenario(args.scenario)
-    attack = tp.load_topology(raw).attack  # validated before anything reads it
-    if not attack or attack.get("kind") != "delay" or not attack.get("target"):
+    topo = tp.load_topology(raw)  # validated before anything reads it
+    attack = topo.attack
+    if (not attack or attack.get("kind") != "delay" or not attack.get("target")
+            or "coalition" in attack.get("params", {})):
         raise _CliError(SCENARIO_ERR, "delay-node needs a scenario with a single-victim delay attack")
+    if "ref" not in topo.nodes:  # the victim is measured against it
+        raise tp.ScenarioError("nodes: delay-node needs an attack-free reference node named 'ref'")
     overrides = _parse_overrides(args.set)
     seeds = _parse_seeds(args.seeds)
     try:
@@ -175,8 +179,6 @@ def _cmd_delay_node(args) -> int:
         digest = _load_topology(scn, overrides).config_digest()
         reports = engine._map_tasks(_report_job, [(scn, s, overrides) for s in seeds])
         for rep in reports:
-            if not rep.uninformed:
-                raise _CliError(RUNTIME_ERR, "scenario has no attack-free reference node named 'ref'")
             (value,) = rep.uninformed.values()
             rows.append((f"{digest}:interception={f}", rep.seed, "uninformed_fraction", value))
     _write(args.out, metrics.csv_bytes(rows))

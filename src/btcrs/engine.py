@@ -4,11 +4,17 @@ One queue orders deliveries, mining, request timeouts, background
 transaction chatter, churn reboots and attack control: a heap of distinct
 times, each with a FIFO list of the events due then.  Each event carries the
 function that handles it, and events at one time run in insertion order, so
-a (scenario, seed) pair always replays identically.  An INV whose every block
-its receiver already has is never delivered; only its time is queued.
+a (scenario, seed) pair always replays identically.  One fan-out's
+deliveries of the same message at the same time are one event that walks
+its destinations in order, which runs exactly as one event each would.  An
+INV whose every block its receiver already has is never delivered; only its
+time is queued.
+
 Latency between two nodes is `base_delay` plus `per_hop_delay` for every
-inter-AS hop of the policy-compliant route; members of the same pool fabric
-exchange messages instantly and invisibly to any on-path attacker.
+inter-AS hop of the policy-compliant route, which may differ by direction;
+members of the same pool fabric exchange messages instantly and invisibly to
+any on-path attacker.  A connection's delay is looked up on its first send
+and kept, per direction, as the value of `Node.peers` until it closes.
 
 Background transaction chatter runs only when the attack reads it: a
 node-mode delay attack or a hijack partition (`_reads_tx`).  Anywhere else a
@@ -318,49 +324,79 @@ class Simulation:
         return self.params.base_delay + self.params.per_hop_delay * (hops - 1)
 
     def _send(self, src: str, dsts: list[str], msg) -> None:
-        """Send `msg` from `src` to each of `dsts`, in order; the only send path."""
+        """Send `msg` from `src` to each of `dsts`, in order; the only send path.
+
+        Each link's delay is measured on its first send and kept in the
+        sender's `peers` until the connection closes.  In a send to more than
+        one destination, those that get `msg` itself at one arrival time
+        share one queue entry; a transformed message is queued alone and
+        closes that time's entry, so every bucket runs in the order of one
+        entry per destination.  A one-destination send, most sends under a
+        delay attack, queues a plain delivery.
+        """
         nodes, buckets, times = self.nodes, self._buckets, self._times
-        peers = nodes[src].peers
-        fabric = self._fabric.get(src, ())
-        home_as, delays = self._home_as, self._delay
-        src_as = home_as[src]
+        links = nodes[src].peers
         coverage, partition, delayer = self._coverage, self.partition_attacker, self.delay_attacker
+        watched = coverage is not None or delayer is not None
+        fabric = self._fabric.get(src, ())  # a fabric link is instant and invisible to attackers
+        src_as = self._home_as[src]
         now = self.now
+        inv = type(msg) is pr.InvMsg
+        groups = {} if len(dsts) > 1 else None  # arrival time -> the open entry's destinations
         for dst in dsts:
-            if dst not in peers:
-                continue
+            try:
+                delay = links[dst]
+            except KeyError:
+                continue  # not a peer
             out = msg
-            if dst in fabric:
-                when = now
-            else:
-                dst_as = home_as[dst]
+            if watched and dst not in fabric:
                 if coverage is not None and coverage.diverted(dst, src_as):
                     if not partition.tick(src, dst, msg, now):
                         continue
                 if delayer is not None and delayer.intercepts(src, dst):
                     out = delayer.transform(src, dst, msg, now)
-                delay = delays.get((src_as, dst_as))
-                if delay is None:
-                    delay = delays[src_as, dst_as] = self._as_delay(src_as, dst_as)
-                when = now + delay
-            bucket = buckets.get(when)
-            if type(out) is pr.InvMsg:
-                known = nodes[dst].chain.blocks
-                for _, h in out.items:
-                    if h not in known:
-                        break
+            if delay is None:
+                if dst in fabric:
+                    delay = 0.0
                 else:
-                    # on_inv skips a known hash and a node's blocks only grow, so this
-                    # delivery would change nothing but the clock: queue its time alone
-                    if bucket is None:
-                        buckets[when] = []
-                        heapq.heappush(times, when)
-                    continue
+                    key = (src_as, self._home_as[dst])
+                    delay = self._delay.get(key)
+                    if delay is None:
+                        delay = self._delay[key] = self._as_delay(*key)
+                links[dst] = delay
+            when = now + delay
+            bucket = buckets.get(when)
+            if out is not msg:  # the delay attacker rewrites only GETDATA and BLOCK
+                entry = (Simulation._ev_deliver, (src, dst, out))
+                if groups:
+                    groups.pop(when, None)
+            else:
+                if inv:
+                    known = nodes[dst].chain.blocks
+                    for _, h in msg.items:
+                        if h not in known:
+                            break
+                    else:
+                        # on_inv skips a known hash and a node's blocks only grow, so this
+                        # delivery would change nothing but the clock: queue its time alone
+                        if bucket is None:
+                            buckets[when] = []
+                            heapq.heappush(times, when)
+                        continue
+                if groups is None:
+                    entry = (Simulation._ev_deliver, (src, dst, msg))
+                else:
+                    group = groups.get(when)
+                    if group is not None:
+                        group.append(dst)
+                        continue
+                    group = groups[when] = [dst]
+                    entry = (Simulation._ev_deliver_all, (src, group, msg))
             if bucket is None:
-                buckets[when] = [(Simulation._ev_deliver, (src, dst, out))]
+                buckets[when] = [entry]
                 heapq.heappush(times, when)
             else:
-                bucket.append((Simulation._ev_deliver, (src, dst, out)))
+                bucket.append(entry)
 
     def _ev_deliver(self, src: str, dst: str, msg) -> None:
         node = self.nodes[dst]
@@ -378,6 +414,11 @@ class Simulation:
         else:  # pragma: no cover
             raise TypeError(f"unroutable message {msg!r}")
         self._execute(dst, acts)
+
+    def _ev_deliver_all(self, src: str, dsts: list[str], msg) -> None:
+        """Deliver `msg` from `src` to each of `dsts` in turn, as one event each would."""
+        for dst in dsts:
+            self._ev_deliver(src, dst, msg)
 
     def _ev_timeout(self, nid: str, block_hash: bytes, deadline: float) -> None:
         acts = self.nodes[nid].on_timeout(block_hash, deadline, self.now)

@@ -123,8 +123,10 @@ class ChainView:
             return []
         connected = []
         queue = [block]
-        while queue:
-            blk = queue.pop(0)
+        i = 0
+        while i < len(queue):  # the orphan cascade, breadth first; `queue` grows as it goes
+            blk = queue[i]
+            i += 1
             if blk.hash in self.blocks:
                 continue
             self.blocks[blk.hash] = blk
@@ -165,7 +167,8 @@ class Node:
     def __init__(self, node_id: str):
         self.node_id = node_id
         self.chain = ChainView()
-        self.peers: set[str] = set()
+        # peer -> one-way delay of the link to it, None until the engine's first send fills it
+        self.peers: dict[str, float | None] = {}
         self.pending: dict[bytes, Pending] = {}
         self.advertisers: dict[bytes, list[str]] = {}
         self._outgoing: set[str] = set()
@@ -181,7 +184,7 @@ class Node:
 
     def on_connect(self, peer: str, dialed: bool, now: float) -> list:
         """A connection to `peer` opened; `dialed` is True when this node dialed it."""
-        self.peers.add(peer)
+        self.peers[peer] = None  # a reconnect measures its link again
         if dialed:
             self._outgoing.add(peer)
         else:
@@ -191,7 +194,7 @@ class Node:
         return []
 
     def on_disconnect(self, peer: str) -> None:
-        self.peers.discard(peer)
+        self.peers.pop(peer, None)
         self._outgoing.discard(peer)
 
     def _request(self, h: bytes, peer: str, now: float) -> list:
@@ -226,11 +229,13 @@ class Node:
         A held block needs no pending request and no advertisers, so both entries go.
         """
         connected = self.chain.add(block, now)
+        if not connected:
+            return []
+        peers = [p for p in sorted(self.peers) if p != exclude]
         actions = []
         for blk in connected:
             self.pending.pop(blk.hash, None)
             self.advertisers.pop(blk.hash, None)
-            peers = [p for p in sorted(self.peers) if p != exclude]
             if peers:
                 actions.append((SEND, peers, block_inv(blk.hash)))
         return actions

@@ -24,6 +24,28 @@ def test_wins_counts_strictly_better_pairs_in_the_metric_direction():
     assert bench_pairs.wins(parent, change, "higher") == 1
 
 
+SEED_S = {"name": "seed_s", "unit": "s", "better": "lower", "bound": 0.2}
+
+
+@pytest.mark.parametrize("parent, change, want", [
+    ([1.0] * 10, [0.9] * 9 + [1.1], "gain"),  # 9/10 wins and a median gap beyond the parent's zero IQR
+    ([1.0] * 10, [0.9] * 8 + [1.1] * 2, "no change"),  # 8/10 wins is short of nine tenths
+    ([1.0, 1.1] * 5, [0.98] * 10, "no change"),  # 10/10 wins, but the gap 0.07 is inside the parent's IQR 0.1
+    ([1.0] * 10, [1.21] * 10, "worse than bound"),  # 21% worse against a 20% bound
+    ([1.0] * 10, [1.19] * 10, "no change"),
+    ([0.7, 1.3] * 5, [0.75, 1.25] * 5, "unresolved"),  # both IQRs (0.6, 0.5) exceed the bound of 0.2
+    ([1.0, 1.5] * 5, [0.7, 0.9] * 5, "no change"),  # as wide, but every change run beats every parent run
+])
+def test_verdict_follows_the_pairs_rule(parent, change, want):
+    assert bench_pairs.metric_record(SEED_S, parent, change)["verdict"] == want
+
+
+def test_verdict_reads_higher_better_metrics_the_other_way_round():
+    rate = {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.1}
+    assert bench_pairs.metric_record(rate, [1.0] * 10, [1.2] * 10)["verdict"] == "gain"
+    assert bench_pairs.metric_record(rate, [1.0] * 10, [0.8] * 10)["verdict"] == "worse than bound"
+
+
 def _fake_run(seed_s: float, correct: bool = True, failed: int = 0) -> dict:
     metrics = {"seed_s": {"value": seed_s}, "setup_s": {"value": 0.001}}
     return {"environment": {"git_sha": "abc"},
@@ -58,6 +80,8 @@ def test_a_failed_run_exits_1_after_writing_the_record(checkouts, tmp_path, caps
     record = json.loads(out.read_text())
     seed_s = record["workloads"]["coalition"]["metrics"]["seed_s"]
     assert (seed_s["wins"], seed_s["pairs"], seed_s["change"]["median"]) == (3, 3, 0.5)
+    assert (seed_s["verdict"], record["workloads"]["coalition"]["metrics"]["setup_s"]["verdict"]) == (
+        "gain", "no change")
     assert record["workloads"]["coalition"]["correct"]["change"] == [True, False, True]
     assert "coalition pair 1 change: correct False, failed 1" in capsys.readouterr().err
 

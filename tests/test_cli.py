@@ -174,6 +174,23 @@ def test_delay_node_rejects_scenarios_without_a_victim():
     assert run_cli("delay-node", "--scenario", PAPERLIKE) == 3
 
 
+@pytest.mark.parametrize("change", ["no ref", "coalition"])
+def test_delay_node_rejects_a_scenario_it_cannot_measure_before_any_seed_runs(tmp_path, capsys, monkeypatch,
+                                                                              change):
+    raw = json.loads(Path(DELAYNODE).read_text())
+    if change == "no ref":  # the victim's uninformed fraction is measured against node `ref`
+        raw["nodes"] = [n for n in raw["nodes"] if n["id"] != "ref"]
+        raw["params"]["connections"] = [c for c in raw["params"]["connections"] if "ref" not in c]
+    else:  # a coalition attack intercepts routes, not one victim's connections
+        raw["attack"]["params"]["coalition"] = [raw["nodes"][0]["as"]]
+    bad = tmp_path / "bad.scn"
+    bad.write_text(json.dumps(raw))
+    monkeypatch.setattr(cli, "_report_job", lambda *task: pytest.fail("a seed ran"))
+    assert run_cli("delay-node", "--scenario", str(bad), "--seeds", "0", "--interception", "0") == 3
+    err = capsys.readouterr().err
+    assert ("nodes: " in err) if change == "no ref" else ("single-victim" in err)
+
+
 @pytest.mark.parametrize("fractions", ["0,1.5", "nan"])
 def test_delay_node_interception_outside_unit_interval_is_usage_error(fractions):
     assert run_cli("delay-node", "--scenario", DELAYNODE, "--interception", fractions) == 2

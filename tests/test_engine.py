@@ -81,6 +81,16 @@ def test_clock_never_runs_backwards():
 # ---------------------------------------------------------------- event queue --
 
 
+def _reference_delay(sim, src, dst):
+    """The one-way delay of a send from `src` to `dst`: 0 inside a pool fabric, else by the AS route."""
+    if dst in sim.topo.fabric_of(src):
+        return 0.0
+    src_as, dst_as = sim.topo.nodes[src].home_as, sim.topo.nodes[dst].home_as
+    path = sim.topo.forwarding.path(src_as, dst_as) if src_as != dst_as else None
+    hops = len(path) if path else 1
+    return sim.params.base_delay + sim.params.per_hop_delay * (hops - 1)
+
+
 class HeapSimulation(engine.Simulation):
     """One `(when, seq, handler, args)` heap entry per event, one message per send, and every INV delivered.
 
@@ -109,16 +119,12 @@ class HeapSimulation(engine.Simulation):
             self._push(self.now, HeapSimulation._deliver, (src, dst, msg))
             return
         src_as = self.topo.nodes[src].home_as
-        dst_as = self.topo.nodes[dst].home_as
         if self._coverage is not None and self._coverage.diverted(dst, src_as):
             if not self.partition_attacker.tick(src, dst, msg, self.now):
                 return
         if self.delay_attacker is not None and self.delay_attacker.intercepts(src, dst):
             msg = self.delay_attacker.transform(src, dst, msg, self.now)
-        path = self.topo.forwarding.path(src_as, dst_as) if src_as != dst_as else None
-        hops = len(path) if path else 1
-        delay = self.params.base_delay + self.params.per_hop_delay * (hops - 1)
-        self._push(self.now + delay, HeapSimulation._deliver, (src, dst, msg))
+        self._push(self.now + _reference_delay(self, src, dst), HeapSimulation._deliver, (src, dst, msg))
 
     def _deliver(self, src, dst, msg):
         """Every delivery to a live connection runs its handler and executes the result."""
@@ -189,14 +195,26 @@ class HeapSimulation(engine.Simulation):
 
 
 def _queued_by(sim, fn):
-    """Run `fn(sim)`; return (when, args) of every event it queued, in run order."""
+    """Run `fn(sim)`; return (when, args) of every event it queued, in run order.
+
+    A fan-out entry of `Simulation` holds a list of destinations; it counts
+    as one `(src, dst, msg)` event per destination, in the list's order.
+    """
     if isinstance(sim, HeapSimulation):
         seq = sim._seq
         fn(sim)
         return [(w, args) for w, s, _, args in sorted(sim._heap) if s >= seq]
     sizes = {w: len(b) for w, b in sim._buckets.items()}
     fn(sim)
-    return [(w, args) for w in sorted(sim._buckets) for _, args in sim._buckets[w][sizes.get(w, 0):]]
+    queued = []
+    for w in sorted(sim._buckets):
+        for handler, args in sim._buckets[w][sizes.get(w, 0):]:
+            if handler is engine.Simulation._ev_deliver_all:
+                src, dsts, msg = args
+                queued.extend((w, (src, dst, msg)) for dst in dsts)
+            else:
+                queued.append((w, args))
+    return queued
 
 
 def _run_state(cls, topo, seed, inject=None):
@@ -207,6 +225,9 @@ def _run_state(cls, topo, seed, inject=None):
         when, fn = inject
         sim.schedule_control(when, lambda s: pushed.extend(_queued_by(s, fn)))
     res = sim.run()
+    for nid, n in res.nodes.items():
+        for peer, delay in n.peers.items():  # a link's delay, once filled, is what a send would take
+            assert delay is None or delay == _reference_delay(sim, nid, peer), (nid, peer, delay)
     return {
         "now": sim.now,
         "mined": [(m.created, m.hash, m.miner) for m in res.mined],
@@ -216,7 +237,7 @@ def _run_state(cls, topo, seed, inject=None):
         "partition": res.partition_attacker and res.partition_attacker.report(),
         "tampering": res.delay_attacker and (res.delay_attacker.rewrites, res.delay_attacker.restores,
                                              res.delay_attacker.corruptions),
-        "nodes": {nid: (n.chain.arrival, n.pending, n.advertisers, n.peers, n.outgoing)
+        "nodes": {nid: (n.chain.arrival, n.pending, n.advertisers, set(n.peers), n.outgoing)
                   for nid, n in res.nodes.items()},
         "pushed": pushed,
     }
@@ -282,6 +303,77 @@ def test_any_destination_list_is_walked_like_one_send_each(raw, seed, data):
 
     assert (_run_state(engine.Simulation, topo, seed, (when, inject))
             == _run_state(HeapSimulation, topo, seed, (when, inject)))
+
+
+def _connected(raw, pairs, dialed=True):
+    """A Simulation over `raw` that has not run, with each pair of `pairs` connected and nothing queued."""
+    sim = engine.Simulation(tp.load_topology(raw), seed=0)
+    for a, b in pairs:
+        sim._connect(a, b, dialed)
+    return sim
+
+
+class _Rewrites:
+    """Stands in for a delay attacker that rewrites every message sent to `victim` into a request for genesis."""
+
+    def __init__(self, victim):
+        self.victim = victim
+
+    def intercepts(self, src, dst):
+        return dst == self.victim
+
+    def transform(self, src, dst, msg, now):
+        return pr.GetDataMsg([(wire.INV_BLOCK, pr.GENESIS.hash)])
+
+
+TX_REQUEST = pr.GetDataMsg([(wire.INV_TX, bytes(32))])
+
+
+def test_fan_out_shares_one_entry_per_arrival_time_in_push_order():
+    dsts = ["n2", "n3", "n4", "n5", "n6"]
+    sim = _connected(tiny_world(), [("n1", d) for d in dsts])
+    sim.nodes["n1"].peers.update(n2=1.0, n3=2.0, n4=1.0, n5=1.0, n6=1.0)  # x, y, x, x rewritten, x
+    sim.delay_attacker = _Rewrites("n5")
+    queued = _queued_by(sim, lambda s: s._send("n1", dsts, TX_REQUEST))
+    assert [(w, dst, out is TX_REQUEST) for w, (_, dst, out) in queued] == [
+        (1.0, "n2", True), (1.0, "n4", True), (1.0, "n5", False), (1.0, "n6", True), (2.0, "n3", True)]
+    # the rewritten message closes the entry of its time: n6 starts a new one
+    assert [to for _, (_, to, _) in sim._buckets[1.0]] == [["n2", "n4"], "n5", ["n6"]]
+
+
+def asymmetric_world():
+    """n1 in AS1 and n2 in AS2, where 1 reaches 2 through its customer 3 and 2 takes the direct peer link back."""
+    return {
+        "ases": [{"id": a, "country": ""} for a in (1, 2, 3)],
+        "links": [{"a": 3, "b": 1, "rel": "c2p"}, {"a": 2, "b": 3, "rel": "c2p"}, {"a": 1, "b": 2, "rel": "p2p"}],
+        "prefixes": [{"base": f"10.{a}.0.0", "len": 16, "origin_as": a} for a in (1, 2)],
+        "nodes": [{"id": f"n{a}", "ip": f"10.{a}.0.1", "prefix": f"10.{a}.0.0/16", "as": a} for a in (1, 2)],
+        "pools": [],
+        "params": {"blocks": 1, "base_delay": 0.5, "per_hop_delay": 2.0},
+    }
+
+
+def test_link_delay_is_per_direction_and_measured_again_after_a_reconnect():
+    sim = _connected(asymmetric_world(), [("n1", "n2")])
+    n1, n2 = sim.nodes["n1"], sim.nodes["n2"]
+    assert (n1.peers, n2.peers) == ({"n2": None}, {"n1": None})
+    sim._send("n1", ["n2"], TX_REQUEST)
+    sim._send("n2", ["n1"], TX_REQUEST)
+    assert (n1.peers["n2"], n2.peers["n1"]) == (0.5 + 2 * 2.0, 0.5 + 2.0)  # 1-3-2 there, 2-1 back
+    sim._disconnect("n1", "n2")
+    sim._connect("n2", "n1")  # reopened, the other way round
+    assert (n1.peers, n2.peers) == ({"n2": None}, {"n1": None})
+    assert _queued_by(sim, lambda s: s._send("n1", ["n2"], TX_REQUEST)) == [(4.5, ("n1", "n2", TX_REQUEST))]
+    assert n1.peers["n2"] == 4.5
+    n1.on_connect("n2", False, sim.now)  # a connect over a live link forgets its delay too
+    assert n1.peers["n2"] is None
+
+
+def test_fabric_link_is_instant_and_unseen_by_the_attacker():
+    sim = _connected(paperlike(), [("D", "E")], dialed=False)  # D (AS1) and E (AS2) share a pool fabric
+    sim.delay_attacker = _Rewrites("E")
+    assert _queued_by(sim, lambda s: s._send("D", ["E"], TX_REQUEST)) == [(0.0, ("D", "E", TX_REQUEST))]
+    assert sim.nodes["D"].peers["E"] == 0.0
 
 
 @pytest.mark.parametrize("onpath", [0.0, 0.5])
