@@ -19,12 +19,11 @@ and a corrupted block fails its checksum and is dropped by the recipient.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from . import topology as tp
 from . import wire
-from .protocol import GENESIS, BlockMsg, GetDataMsg, InvMsg, block_to_payload
+from .protocol import GENESIS, BlockMsg, GetDataMsg, InvMsg
 
 
 class PartitionAttacker:
@@ -148,10 +147,8 @@ class DelayAttacker:
     restore_margin: float = 300.0
     coalition: frozenset = frozenset()
     topo: tp.Topology | None = None
-    seed: int = 0
 
     def __post_init__(self):
-        self.rng = random.Random(f"{self.seed}:delay")
         self.intercepted: set[str] = set()
         self._stash: dict[tuple[str, str], _Stash] = {}
         self._hits: dict[tuple[str, str], bool] = {}  # network mode: (src, dst) -> intercepts
@@ -211,9 +208,6 @@ class DelayAttacker:
         if self.mode == "node" and self.direction == "incoming":
             if isinstance(msg, BlockMsg):
                 self.corruptions += 1
-                # the draws wire.corrupt_block makes, so self.rng stays in step
-                self.rng.randrange(len(block_to_payload(msg.block)))
-                self.rng.randrange(255)
                 return BlockMsg(GENESIS, valid=False)
             return msg
         if not isinstance(msg, GetDataMsg):

@@ -140,7 +140,8 @@ def _cmd_heal(args) -> int:
     overrides = _parse_overrides(args.set)
     seeds = _parse_seeds(args.seeds)
     topo = _load_topology(raw, overrides)
-    if not topo.attack or topo.attack.get("kind") != "partition" or not topo.attack.get("target"):
+    attack = tp.read_attack(topo.attack, topo)
+    if attack is None or attack.kind not in ("perfect", "hijack") or not attack.target:
         raise _CliError(SCENARIO_ERR, "heal needs a scenario with a partition attack on a non-empty target")
     digest = topo.config_digest()
     results = engine._map_tasks(engine.run_healing, [(raw, s, args.onpath, overrides) for s in seeds])
@@ -158,9 +159,8 @@ def _cmd_heal(args) -> int:
 def _cmd_delay_node(args) -> int:
     raw = _load_scenario(args.scenario)
     topo = tp.load_topology(raw)  # validated before anything reads it
-    attack = topo.attack
-    if (not attack or attack.get("kind") != "delay" or not attack.get("target")
-            or "coalition" in attack.get("params", {})):
+    attack = tp.read_attack(topo.attack, topo)
+    if attack is None or attack.kind != "delay" or not attack.target:
         raise _CliError(SCENARIO_ERR, "delay-node needs a scenario with a single-victim delay attack")
     if "ref" not in topo.nodes:  # the victim is measured against it
         raise tp.ScenarioError("nodes: delay-node needs an attack-free reference node named 'ref'")

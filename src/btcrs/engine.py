@@ -11,17 +11,18 @@ INV whose every block its receiver already has is never delivered; only its
 time is queued.
 
 Latency between two nodes is `base_delay` plus `per_hop_delay` for every
-inter-AS hop of the policy-compliant route, which may differ by direction;
-members of the same pool fabric exchange messages instantly and invisibly to
-any on-path attacker.  A connection's delay is looked up on its first send
-and kept, per direction, as the value of `Node.peers` until it closes.
+inter-AS hop of the policy-compliant route (`ForwardingTable.hops`), which
+may differ by direction; members of the same pool fabric exchange messages
+instantly and invisibly to any on-path attacker.  A connection's delay is
+computed on its first send and kept, per direction, as the value of
+`Node.peers` until it closes.
 
 Background transaction chatter runs only when the attack reads it: a
-node-mode delay attack or a hijack partition (`_reads_tx`).  Anywhere else a
-tx request changes no state, so leaving it out keeps every output and can
-only end the final clock `now` earlier, which no report reads.  A new reader
-of tx frames, such as a per-command frame counter, must be added to
-`_reads_tx`.
+node-mode delay attack or a hijack partition (`topology.Attack.reads_tx`).
+Anywhere else a tx request changes no state, so leaving it out keeps every
+output and can only end the final clock `now` earlier, which no report
+reads.  A new reader of tx frames, such as a per-command frame counter,
+must be added to `Attack.reads_tx`.
 """
 
 from __future__ import annotations
@@ -45,22 +46,6 @@ def _slash16(ip: str) -> str:
     return ".".join(ip.split(".")[:2])
 
 
-def _reads_tx(attack: dict | None) -> bool:
-    """Whether `attack` reads background transaction requests.
-
-    A node-mode delay attack restores a stolen block request inside one, and
-    a hijack partition's attacker counts every diverted frame and clocks its
-    sender's liveness by it.  Nothing else does: a tx-only GETDATA changes no
-    state in `Node.on_getdata`, in `_execute` or in any other `_send`.
-    """
-    if not attack:
-        return False
-    params = attack.get("params", {})
-    if attack.get("kind") == "delay":
-        return "coalition" not in params
-    return attack.get("kind") == "partition" and params.get("mode") != "perfect"
-
-
 class Simulation:
     """One seeded run over a loaded topology."""
 
@@ -81,15 +66,14 @@ class Simulation:
         self.rng_net = random.Random(f"{seed}:net")
         # a per-node stream only for the processes `_schedule_initial` starts
         self._churn_on = bool((self.params.churn or {}).get("enabled"))
-        self._tx_on = self.params.tx_getdata_rate > 0 and _reads_tx(attack)
+        self._attack = tp.read_attack(attack, topo)
+        self._tx_on = self.params.tx_getdata_rate > 0 and self._attack is not None and self._attack.reads_tx
         self._tx_rng = {n: random.Random(f"{seed}:tx:{n}") for n in self._node_order} if self._tx_on else {}
         self._churn_rng = ({n: random.Random(f"{seed}:churn:{n}") for n in self._node_order}
                            if self._churn_on else {})
         self._lifetime: dict[str, float] = {}
         self._home_as = {n: topo.nodes[n].home_as for n in self._node_order}
         self._fabric = {n: f for n in self._node_order if (f := topo.fabric_of(n))}  # gateways only
-        self._delay: dict[tuple[int, int], float] = {}  # (src AS, dst AS) -> one-way delay
-        self._routable_cache: dict[tuple[int, int], bool] = {}
         self._ip16 = {n: _slash16(topo.nodes[n].ip) for n in self._node_order}
         self.dial_veto = None  # pure callable(a, b) -> True to refuse the dial; `_dial` asks it last
         self.tip_series = {n: [(0.0, 0)] for n in self._node_order}
@@ -105,7 +89,6 @@ class Simulation:
         self.partition_attacker: PartitionAttacker | None = None
         self._coverage: tp.Coverage | None = None
         self.delay_attacker: DelayAttacker | None = None
-        self._attack = attack
         self._regular = sorted(topo.regular_ids)
         self._pools_sorted = sorted(topo.pools.values(), key=lambda p: p.pool_id)
 
@@ -141,8 +124,8 @@ class Simulation:
             self._execute(b, acts_b)
 
     def _dial(self, nid: str, exclude: frozenset = frozenset()) -> bool:
-        nodes, ip16, home_as, routable = self.nodes, self._ip16, self._home_as, self._routable_cache
-        veto, cap = self.dial_veto, self.params.max_connections
+        nodes, ip16, home_as = self.nodes, self._ip16, self._home_as
+        veto, cap, has_path = self.dial_veto, self.params.max_connections, self.topo.forwarding.has_path
         peers = nodes[nid].peers
         taken_groups = {ip16[p] for p in nodes[nid].outgoing}
         own_as = home_as[nid]
@@ -154,13 +137,8 @@ class Simulation:
             if len(nodes[cand].peers) >= cap:
                 return False
             cand_as = home_as[cand]
-            if cand_as != own_as:
-                hit = routable.get((own_as, cand_as))
-                if hit is None:
-                    has_path = self.topo.forwarding.has_path
-                    hit = routable[own_as, cand_as] = has_path(own_as, cand_as) and has_path(cand_as, own_as)
-                if not hit:
-                    return False
+            if cand_as != own_as and not (has_path(own_as, cand_as) and has_path(cand_as, own_as)):
+                return False
             return veto is None or not veto(nid, cand)
 
         # rejection sampling stays uniform over the eligible set and avoids
@@ -235,34 +213,27 @@ class Simulation:
     # ---- attacks ----
 
     def _install_attack(self) -> None:
-        spec = self._attack
-        if not spec:
+        attack = self._attack
+        if attack is None:
             return
-        kind = spec.get("kind")
-        targets = list(spec.get("target", []))
-        ap = dict(spec.get("params", {}))
-        start = float(ap.get("start", 0.0))
-        end = ap.get("end")
-        if kind == "partition" and ap.get("mode") == "perfect":
+        targets = attack.target
+        if attack.kind == "perfect":
             side = set(targets)
 
             def lift(sim: "Simulation") -> None:
                 sim.dial_veto = None
 
-            self.schedule_control(start, lambda sim: sim.isolate(side))
-            if end is not None:
-                self.schedule_control(float(end), lift)
-        elif kind == "partition":
-            announced = ap.get("announced")
+            self.schedule_control(attack.start, lambda sim: sim.isolate(side))
+            if attack.end is not None:
+                self.schedule_control(attack.end, lift)
+        elif attack.kind == "hijack":
+            announced = attack.announced
             if announced is None:
                 announced = planner.cover_nodes(self.topo, targets)
-            else:
-                announced = [(base, int(length)) for base, length in (p.split("/") for p in announced)]
-            attacker_as = int(ap["attacker_as"])
-            active_at = start + self.params.convergence_delay
+            active_at = attack.start + self.params.convergence_delay
 
             def activate(sim: "Simulation") -> None:
-                sim._coverage = tp.hijack_coverage(sim.topo, announced, attacker_as, sim.seed)
+                sim._coverage = tp.hijack_coverage(sim.topo, announced, attack.attacker_as, sim.seed)
                 sim.partition_attacker = PartitionAttacker(targets, sim.params.threshold, sim.now)
                 sim._push(sim.now + SWEEP_INTERVAL, Simulation._ev_sweep, ())
 
@@ -272,32 +243,21 @@ class Simulation:
                 sim._coverage = None
 
             self.schedule_control(active_at, activate)
-            if end is not None:
+            if attack.end is not None:
                 # never before activation, which would leave the hijack on for good
-                self.schedule_control(max(float(end), active_at), deactivate)
-        elif kind == "delay":
-            if "coalition" in ap:
-                coalition = ap["coalition"]
-                if isinstance(coalition, str):
-                    coalition = self.topo.graph.ases_of_country(coalition)
-                self.delay_attacker = DelayAttacker(
-                    mode="network",
-                    coalition=frozenset(coalition),
-                    topo=self.topo,
-                    seed=self.seed,
-                )
-            else:
-                self.delay_attacker = DelayAttacker(
-                    mode="node",
-                    direction=ap.get("direction", "outgoing"),
-                    victim=targets[0],
-                    interception=float(ap.get("interception", 1.0)),
-                    outgoing_target=self.params.outgoing_target,
-                    restore_margin=float(ap.get("restore_margin", self.params.restore_margin)),
-                    seed=self.seed,
-                )
+                self.schedule_control(max(attack.end, active_at), deactivate)
+        elif attack.kind == "coalition":
+            self.delay_attacker = DelayAttacker(mode="network", coalition=attack.coalition, topo=self.topo)
         else:
-            raise tp.ScenarioError(f"unknown attack kind {kind!r}")
+            margin = attack.restore_margin
+            self.delay_attacker = DelayAttacker(
+                mode="node",
+                direction=attack.direction,
+                victim=targets[0],
+                interception=attack.interception,
+                outgoing_target=self.params.outgoing_target,
+                restore_margin=self.params.restore_margin if margin is None else margin,
+            )
 
     # ---- event handlers ----
 
@@ -314,14 +274,6 @@ class Simulation:
         height = node.chain.tip.height
         if height != series[-1][1]:
             series.append((self.now, height))
-
-    def _as_delay(self, src_as: int, dst_as: int) -> float:
-        if src_as == dst_as:
-            hops = 1
-        else:
-            path = self.topo.forwarding.path(src_as, dst_as)
-            hops = len(path) if path else 1
-        return self.params.base_delay + self.params.per_hop_delay * (hops - 1)
 
     def _send(self, src: str, dsts: list[str], msg) -> None:
         """Send `msg` from `src` to each of `dsts`, in order; the only send path.
@@ -358,11 +310,9 @@ class Simulation:
             if delay is None:
                 if dst in fabric:
                     delay = 0.0
-                else:
-                    key = (src_as, self._home_as[dst])
-                    delay = self._delay.get(key)
-                    if delay is None:
-                        delay = self._delay[key] = self._as_delay(*key)
+                else:  # an unroutable explicit connection costs base_delay alone
+                    hops = self.topo.forwarding.hops(src_as, self._home_as[dst]) or 0
+                    delay = self.params.base_delay + self.params.per_hop_delay * hops
                 links[dst] = delay
             when = now + delay
             bucket = buckets.get(when)
@@ -605,7 +555,7 @@ def run_healing(raw, seed: int, onpath: float = 0.0, overrides: dict | None = No
     who stays on the routes.  Recovery is driven entirely by churn.
     """
     topo = raw if isinstance(raw, tp.Topology) else tp.load_topology(raw)
-    side = set(topo.attack["target"])
+    side = set(tp.read_attack(topo.attack, topo).target)
     result = HealResult(seed=seed, onpath=onpath, baseline=0.0)
     end = HEAL_WARMUP + HEAL_ATTACK + HEAL_WATCH + 1.0
     sim = Simulation(topo, seed, overrides, end_time=end)

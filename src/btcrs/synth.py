@@ -245,7 +245,7 @@ def random_partition_case(seed: int) -> dict:
     return raw
 
 
-def delay_node_scenario(n_relays: int = 8, seed: int = 1) -> dict:
+def delay_node_scenario(n_relays: int = 8) -> dict:
     """A victim and an attack-free reference node, each watching the same
     mining world through one relay per relay AS.
 
@@ -253,7 +253,6 @@ def delay_node_scenario(n_relays: int = 8, seed: int = 1) -> dict:
     victim's first INV for any block arrives via the relay of the mining AS
     and the first-advertiser connection is uniform over the victim's peers.
     """
-    del seed  # wiring is fully determined; kept for signature symmetry
     hub = 100
     victim_as, ref_as = 50, 51
     if not 3 <= n_relays < victim_as:  # the relay ring needs 3; relay ASes are 1..n_relays
@@ -350,7 +349,7 @@ def two_halves(n_nodes: int = 1000, n_as: int = 40, seed: int = 0) -> dict:
     }
 
 
-def adjust_pool_degree(raw: dict, degree: int, seed: int = 0) -> dict:
+def adjust_pool_degree(raw: dict, degree: int) -> dict:
     """Return a copy where every pool spans exactly `degree` hosting ASes.
 
     Pools hosted wider are trimmed (surplus gateways become regular nodes);
@@ -359,7 +358,7 @@ def adjust_pool_degree(raw: dict, degree: int, seed: int = 0) -> dict:
     """
     import copy
 
-    rng = random.Random(f"degree:{seed}:{degree}")
+    rng = random.Random(f"degree:0:{degree}")
     out = copy.deepcopy(raw)
     topo = tp.load_topology(raw)
     hosting = sorted({pl.home_as for pl in topo.nodes.values()})

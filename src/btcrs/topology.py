@@ -64,16 +64,15 @@ class AsGraph:
     def as_ids(self) -> set[int]:
         return set(self.countries)
 
-    def ases_of_country(self, country: str) -> set[int]:
-        return {a for a, c in self.countries.items() if c == country}
-
 
 class ForwardingTable:
     """Per-destination routing trees; `path(a, b)` is directional."""
 
-    def __init__(self, next_hop: dict[int, dict[int, int]]):
-        # next_hop[dst][src] -> neighbour src forwards to (absent = no route)
+    def __init__(self, next_hop: dict[int, dict[int, int]], dist: dict[int, dict[int, int]]):
+        # next_hop[dst][src] -> neighbour src forwards to (absent = no route);
+        # dist[dst][src] -> inter-AS hops of that route, with dst itself at 0
         self._next_hop = next_hop
+        self._dist = dist
 
     def path(self, src: int, dst: int) -> list[int] | None:
         if src == dst:
@@ -91,8 +90,12 @@ class ForwardingTable:
                 raise RuntimeError(f"routing loop toward AS{dst}: {hops}")
         return hops
 
+    def hops(self, src: int, dst: int) -> int | None:
+        """Inter-AS hops of the route from src to dst (0 inside one AS), or None if there is none."""
+        return self._dist[dst].get(src)
+
     def has_path(self, src: int, dst: int) -> bool:
-        return self.path(src, dst) is not None
+        return src in self._dist[dst]
 
 
 def compute_forwarding(graph: AsGraph) -> ForwardingTable:
@@ -106,6 +109,7 @@ def compute_forwarding(graph: AsGraph) -> ForwardingTable:
     import heapq
 
     next_hop: dict[int, dict[int, int]] = {}
+    dist: dict[int, dict[int, int]] = {}
     for dst in sorted(graph.as_ids):
         table: dict[int, int] = {}
         # 1. customer-learned: BFS up provider edges from dst.
@@ -152,7 +156,8 @@ def compute_forwarding(graph: AsGraph) -> ForwardingTable:
                 if c not in seen:
                     heapq.heappush(heap, (d + 1, c, u))
         next_hop[dst] = table
-    return ForwardingTable(next_hop)
+        dist[dst] = chosen_dist
+    return ForwardingTable(next_hop, dist)
 
 
 @dataclass
@@ -314,8 +319,7 @@ class Coverage:
 def hijack_coverage(
     topo: Topology, announced: list[tuple[str, int]], attacker_as: int, seed: int = 0
 ) -> Coverage:
-    if attacker_as not in topo.graph.as_ids:
-        raise ScenarioError(f"attacker AS{attacker_as} not in topology")
+    """What `attacker_as`'s announcements divert; `read_attack` checks that the AS exists."""
     return Coverage(topo, announced, seed)
 
 
@@ -585,19 +589,16 @@ def load_topology(path: str | Path | dict) -> Topology:
             f"hash shares sum to {share_sum:g} and no regular nodes can absorb the rest",
         )
 
-    attack = raw.get("attack")
-    if attack is not None:
-        _check_attack(attack, nodes, countries)
-
     topo = Topology(
         graph=AsGraph(countries, providers, customers, peers),
         prefixes=prefixes,
         nodes=nodes,
         pools=pools,
         params=params,
-        attack=attack,
+        attack=raw.get("attack"),
         raw=raw,
     )
+    read_attack(topo.attack, topo)
     return topo
 
 
@@ -612,61 +613,117 @@ def _entries(raw: dict, key: str):
         yield where, entry
 
 
-def _check_attack(attack, nodes: dict, countries: dict[int, str]) -> None:
-    """What the engine reads of the attack block, checked before any run starts."""
+# the keys of an attack's `params` block, by the block's `kind`
+ATTACK_PARAMS = {
+    "partition": ("start", "end", "mode", "announced", "attacker_as"),
+    "delay": ("coalition", "direction", "interception", "restore_margin"),
+}
+
+
+@dataclass(frozen=True)
+class Attack:
+    """A scenario's attack block as the engine runs it; `read_attack` makes one.
+
+    `kind` is `perfect` or `hijack` (a partition of `target` from `start` to
+    `end`), `delay` (tampering with victim `target[0]`'s block requests) or
+    `coalition` (tampering on every route through the ASes of `coalition`).
+    `announced` None covers the target set, and `restore_margin` None is the
+    run's `params.restore_margin`.
+    """
+
+    kind: str
+    target: tuple[str, ...]
+    start: float = 0.0
+    end: float | None = None
+    attacker_as: int | None = None
+    announced: tuple[tuple[str, int], ...] | None = None
+    coalition: frozenset[int] = frozenset()
+    direction: str = "outgoing"
+    interception: float = 1.0
+    restore_margin: float | None = None
+
+    @property
+    def reads_tx(self) -> bool:
+        """Whether the attack reads background transaction requests.
+
+        A node-mode delay attack restores a stolen block request inside one,
+        and a hijack's attacker clocks each diverted sender's liveness by its
+        frames.  Nothing else does: a tx-only GETDATA changes no state.
+        """
+        return self.kind in ("delay", "hijack")
+
+
+def read_attack(attack, topo: Topology) -> Attack | None:
+    """Check a scenario's attack block against `topo` and return it as an `Attack` (None if absent)."""
+    if attack is None:
+        return None
     _require(isinstance(attack, dict), "attack", "must be an object")
+    for key in attack:
+        _require(key in ("kind", "target", "params"), f"attack.{key}", "unknown key")
     kind = attack.get("kind")
-    _require(kind in ("partition", "delay"), "attack.kind",
-             f"kind must be partition or delay, got {kind!r}")
+    _require(kind in ("partition", "delay"), "attack.kind", f"kind must be partition or delay, got {kind!r}")
     targets = attack.get("target", [])
     _require(isinstance(targets, list), "attack.target", "must be a list")
     for t in targets:
-        _require(isinstance(t, str) and t in nodes, "attack.target", f"unknown node {t!r}")
+        _require(isinstance(t, str) and t in topo.nodes, "attack.target", f"unknown node {t!r}")
+    targets = tuple(targets)
     ap = attack.get("params", {})
     _require(isinstance(ap, dict), "attack.params", "must be an object")
-    if kind == "delay":  # a delay attack runs from the first event to the last
-        for key in ("start", "end"):
-            _require(key not in ap, f"attack.params.{key}", "applies to a partition attack only")
-    # control events before time 0 would run the clock backwards, and a lift before the start never lifts
-    start, end = ap.get("start", 0), ap.get("end")
-    _require(_is_number(start) and start >= 0, "attack.params.start", f"must be a number >= 0, got {start!r}")
-    _require(end is None or _is_number(end) and end >= start, "attack.params.end",
-             f"must be null or a number >= start, got {end!r}")
-    if kind == "partition" and ap.get("mode") != "perfect":
+    for key in ap:
+        owner = next((k for k, keys in ATTACK_PARAMS.items() if key in keys), None)
+        _require(owner == kind, f"attack.params.{key}", f"applies to a {owner} attack only" if owner
+                 else f"unknown key (valid for a {kind} attack: {', '.join(ATTACK_PARAMS[kind])})")
+    countries = topo.graph.countries
+    if kind == "partition":
+        # control events before time 0 would run the clock backwards, and a lift before the start never lifts
+        start, end = ap.get("start", 0), ap.get("end")
+        _require(_is_number(start) and start >= 0, "attack.params.start", f"must be a number >= 0, got {start!r}")
+        _require(end is None or _is_number(end) and end >= start, "attack.params.end",
+                 f"must be null or a number >= start, got {end!r}")
+        start, end = float(start), None if end is None else float(end)
+        if "mode" in ap:
+            _require(ap["mode"] == "perfect", "attack.params.mode", f"must be perfect, got {ap['mode']!r}")
+            return Attack("perfect", targets, start, end)
         attacker = ap.get("attacker_as")
-        _require(isinstance(attacker, int) and not isinstance(attacker, bool),
-                 "attack.params.attacker_as", f"a hijack needs an integer AS, got {attacker!r}")
+        _require(_is_int(attacker), "attack.params.attacker_as", f"a hijack needs an integer AS, got {attacker!r}")
         _require(attacker in countries, "attack.params.attacker_as", f"unknown AS {attacker}")
-        announced = ap.get("announced", [])
-        _require(isinstance(announced, list), "attack.params.announced",
-                 "must be a list of a.b.c.d/len strings")
-        for i, p in enumerate(announced):
-            try:  # what Coverage accepts: a strict network (no host bits), written with a prefix length
-                ok = (isinstance(p, str) and p.partition("/")[2].isdigit()
-                      and ipaddress.IPv4Network(p).prefixlen <= 24)
-            except ValueError:
-                ok = False
-            _require(ok, f"attack.params.announced[{i}]",
-                     f"must be a network a.b.c.d/len with no host bits set, at most /24, got {p!r}")
-    if kind == "delay":
-        _require("coalition" in ap or targets, "attack.target",
-                 "a delay attack needs a victim or params.coalition")
-        direction = ap.get("direction", "outgoing")
-        _require(direction in ("outgoing", "incoming"), "attack.params.direction",
-                 f"must be outgoing or incoming, got {direction!r}")
-        interception = ap.get("interception", 1.0)
-        _require(_is_number(interception) and 0 <= interception <= 1, "attack.params.interception",
-                 f"must be a number in [0, 1], got {interception!r}")
-        margin = ap.get("restore_margin", 0.0)
-        _require(_is_number(margin) and margin >= 0, "attack.params.restore_margin",
-                 f"must be a number >= 0, got {margin!r}")
-    coalition = ap.get("coalition", [])
-    if isinstance(coalition, list):
-        for c in coalition:
-            _require(isinstance(c, int) and c in countries, "attack.params.coalition", f"unknown AS {c!r}")
+        announced = ap.get("announced")
+        if "announced" in ap:
+            _require(isinstance(announced, list), "attack.params.announced", "must be a list of a.b.c.d/len strings")
+            for i, p in enumerate(announced):
+                try:  # what Coverage accepts: a strict network (no host bits), written with a prefix length
+                    ok = (isinstance(p, str) and p.partition("/")[2].isdigit()
+                          and ipaddress.IPv4Network(p).prefixlen <= 24)
+                except ValueError:
+                    ok = False
+                _require(ok, f"attack.params.announced[{i}]",
+                         f"must be a network a.b.c.d/len with no host bits set, at most /24, got {p!r}")
+            # each base as written, since it names the prefix's equal-length race
+            announced = tuple((base, int(length)) for base, _, length in (p.partition("/") for p in announced))
+        return Attack("hijack", targets, start, end, attacker, announced)
+    if "coalition" in ap:
+        coalition = ap["coalition"]
+        if isinstance(coalition, list):
+            for c in coalition:
+                _require(_is_int(c) and c in countries, "attack.params.coalition", f"unknown AS {c!r}")
+        else:
+            coalition = {a for a, c in countries.items() if c == ap["coalition"]}
+            _require(coalition, "attack.params.coalition", f"no AS belongs to country {ap['coalition']!r}")
     else:
-        _require(coalition in countries.values(), "attack.params.coalition",
-                 f"no AS belongs to country {coalition!r}")
+        _require(targets, "attack.target", "a delay attack needs a victim or params.coalition")
+    direction = ap.get("direction", "outgoing")
+    _require(direction in ("outgoing", "incoming"), "attack.params.direction",
+             f"must be outgoing or incoming, got {direction!r}")
+    interception = ap.get("interception", 1.0)
+    _require(_is_number(interception) and 0 <= interception <= 1, "attack.params.interception",
+             f"must be a number in [0, 1], got {interception!r}")
+    margin = ap.get("restore_margin")
+    _require("restore_margin" not in ap or _is_number(margin) and margin >= 0, "attack.params.restore_margin",
+             f"must be a number >= 0, got {margin!r}")
+    if "coalition" in ap:
+        return Attack("coalition", targets, coalition=frozenset(coalition))
+    return Attack("delay", targets, direction=direction, interception=float(interception),
+                  restore_margin=None if margin is None else float(margin))
 
 
 def _check_provider_acyclic(providers: dict[int, set[int]]) -> None:

@@ -207,6 +207,16 @@ def test_delay_node_validates_the_attack_before_reading_it(tmp_path, capsys, whe
     assert f"{where}: must be an object" in capsys.readouterr().err
 
 
+def test_misspelled_attack_key_is_scenario_error(tmp_path, capsys):
+    # if it were ignored, the run would go on silently at the default interception 1.0
+    raw = json.loads(Path(DELAYNODE).read_text())
+    raw["attack"]["params"]["interceptoin"] = raw["attack"]["params"].pop("interception")
+    bad = tmp_path / "bad.scn"
+    bad.write_text(json.dumps(raw))
+    assert run_cli("run", "--scenario", str(bad), "--seeds", "0") == 3
+    assert "attack.params.interceptoin: unknown key" in capsys.readouterr().err
+
+
 def test_multihoming_sweep_row_grid(tmp_path):
     out = tmp_path / "mh.csv"
     assert run_cli("multihoming-sweep", "--scenario", PAPERLIKE, "--degrees", "1,3",

@@ -38,6 +38,16 @@ def test_params_schema_matches_the_parameter_table(scenario_schema):
         assert tp.param_problem(key, f.default) is None, key
 
 
+def test_attack_params_schema_matches_the_key_table(scenario_schema):
+    attack = scenario_schema["properties"]["attack"]
+    params = attack["properties"]["params"]
+    assert attack["additionalProperties"] is False and params["additionalProperties"] is False
+    kind_of = {key: kind for kind, keys in tp.ATTACK_PARAMS.items() for key in keys}
+    assert set(params["properties"]) == set(kind_of)
+    for key, spec in params["properties"].items():
+        assert spec["description"].startswith(f"{kind_of[key]} only"), key
+
+
 def test_generated_scenarios_validate(scenario_schema):
     jsonschema.validate(synth.random_partition_case(seed=3), scenario_schema)
     jsonschema.validate(synth.two_halves(n_nodes=60, n_as=6, seed=1), scenario_schema)

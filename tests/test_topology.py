@@ -92,6 +92,9 @@ def assert_tables_match(graph):
                 )
             else:
                 assert got is None, f"path({src},{dst}): got {got}, oracle says unreachable"
+            # the hop count behind every link delay is the path's length, with no route as None
+            assert fwd.hops(src, dst) == (None if got is None else len(got) - 1), (src, dst)
+            assert fwd.has_path(src, dst) == (got is not None), (src, dst)
 
 
 def test_diamond_prefers_lower_next_hop():
@@ -288,6 +291,48 @@ def test_scenario_validation_errors(mutation, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "attack, where",
+    [
+        # ignored, the first would run at the default interception 1.0 and the mode one as a hijack
+        ({"kind": "delay", "target": ["n1"], "params": {"interceptoin": 0.5}}, "attack.params.interceptoin"),
+        ({"kind": "delay", "target": ["n1"], "param": {"interception": 0.5}}, "attack.param"),
+        ({"kind": "delay", "target": ["n1"], "params": {"attacker_as": 2}}, "attack.params.attacker_as"),
+        ({"kind": "partition", "target": ["n1"], "params": {"mode": "bogus", "attacker_as": 2}},
+         "attack.params.mode"),
+        ({"kind": "partition", "target": ["n1"], "params": {"attacker_as": 2, "interception": 0.5}},
+         "attack.params.interception"),
+        ({"kind": "partition", "target": ["n1"], "params": {"mode": "perfect", "coalition": "US"}},
+         "attack.params.coalition"),
+    ],
+)
+def test_attack_keys_outside_the_kind_table_are_rejected(attack, where):
+    with pytest.raises(tp.ScenarioError) as err:
+        tp.load_topology(minimal_scenario(attack=attack))
+    assert str(err.value).startswith(f"{where}: ")
+
+
+def test_read_attack_settles_what_the_engine_runs():
+    topo = tp.load_topology(minimal_scenario())
+    hijack = {"kind": "partition", "target": ["n1"],
+              "params": {"attacker_as": 2, "start": 60, "announced": ["10.1.0.0/17"]}}
+    assert tp.read_attack(hijack, topo) == tp.Attack("hijack", ("n1",), 60.0, None, 2, (("10.1.0.0", 17),))
+    assert type(tp.read_attack(hijack, topo).start) is float  # so the clock never holds an int
+    coalition = {"kind": "delay", "target": [], "params": {"coalition": "US", "interception": 1.0}}
+    assert tp.read_attack(coalition, topo) == tp.Attack("coalition", (), coalition=frozenset({1}))
+    node = {"kind": "delay", "target": ["n2"], "params": {"interception": 1}}
+    assert tp.read_attack(node, topo) == tp.Attack("delay", ("n2",), interception=1.0, restore_margin=None)
+    assert [tp.read_attack(a, topo).reads_tx for a in (hijack, coalition, node)] == [True, False, True]
+    assert tp.read_attack(None, topo) is None
+
+
+def test_simulation_checks_an_attack_passed_to_it():
+    # an API caller's attack dict is read like a scenario's, not found wanting mid-run
+    topo = tp.load_topology(minimal_scenario())
+    with pytest.raises(tp.ScenarioError, match="attack.params.attacker_as"):
+        engine.Simulation(topo, seed=0, attack={"kind": "partition", "target": ["n1"]})
+
+
 def _json_paths(doc, prefix=()):
     """The location of every value below the root of a JSON document, parents first.
 
@@ -318,16 +363,19 @@ def _shipped(name):
 @given(st.data())
 def test_mutated_shipped_scenarios_are_rejected_or_run(data):
     # one edit anywhere in a shipped scenario: drop the key or list entry, give
-    # the value another JSON type, or negate a number
+    # the value another JSON type, negate a number, or misspell an object key
     doc, paths = _shipped(data.draw(st.sampled_from(["paperlike.scn", "delaynode.scn", "twohalves.scn"])))
     path = data.draw(st.sampled_from(paths))
     value = _at(doc, path)
     number = type(value) in (int, float) and value != 0
-    edit = data.draw(st.sampled_from(["drop", "type", "negate"] if number else ["drop", "type"]))
+    keyed = isinstance(path[-1], str)
+    edit = data.draw(st.sampled_from(["drop", "type"] + ["negate"] * number + ["misspell"] * keyed))
     raw = copy.deepcopy(doc)
     parent, key = _at(raw, path[:-1]), path[-1]
     if edit == "drop":
         del parent[key]
+    elif edit == "misspell":
+        parent[key[:-1] + key[-1] * 2] = parent.pop(key)
     elif edit == "type":
         parent[key] = data.draw(st.sampled_from([v for v in (None, True, 0, 2.5, "x", [], {})
                                                  if type(v) is not type(value)]))
