@@ -104,6 +104,14 @@ def _report_job(raw: dict, seed: int, overrides: dict | None):
     return metrics.summarize(engine.run_scenario(raw, seed, overrides))
 
 
+def _sweep_csv(cells: list[tuple[str, dict]], seeds: list[int], overrides: dict, metric: str, value) -> bytes:
+    """CSV rows of `metric` per (label, scenario) cell and seed; every cell is checked, then all run in one pool."""
+    names = [f"{_load_topology(scn, overrides).config_digest()}:{label}" for label, scn in cells]
+    reports = engine._map_tasks(_report_job, [(scn, s, overrides) for _, scn in cells for s in seeds])
+    cell_of = [name for name in names for _ in seeds]
+    return metrics.csv_bytes((name, rep.seed, metric, value(rep)) for name, rep in zip(cell_of, reports))
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -145,7 +153,6 @@ def _cmd_heal(args) -> int:
         raise _CliError(SCENARIO_ERR, "heal needs a scenario with a partition attack on a non-empty target")
     digest = topo.config_digest()
     results = engine._map_tasks(engine.run_healing, [(raw, s, args.onpath, overrides) for s in seeds])
-    results.sort(key=lambda r: r.seed)
     body = {
         "config": digest,
         "onpath": args.onpath,
@@ -172,16 +179,13 @@ def _cmd_delay_node(args) -> int:
         raise _CliError(USAGE_ERR, f"bad --interception {args.interception!r}: expected comma-separated fractions") from None
     if not all(0 <= f <= 1 for f in fractions):
         raise _CliError(USAGE_ERR, f"bad --interception {args.interception!r}: fractions must be in [0, 1]")
-    rows = []
+    cells = []
     for f in fractions:
         scn = copy.deepcopy(raw)
         scn["attack"].setdefault("params", {})["interception"] = f
-        digest = _load_topology(scn, overrides).config_digest()
-        reports = engine._map_tasks(_report_job, [(scn, s, overrides) for s in seeds])
-        for rep in reports:
-            (value,) = rep.uninformed.values()
-            rows.append((f"{digest}:interception={f}", rep.seed, "uninformed_fraction", value))
-    _write(args.out, metrics.csv_bytes(rows))
+        cells.append((f"interception={f}", scn))
+    victim = attack.target[0]
+    _write(args.out, _sweep_csv(cells, seeds, overrides, "uninformed_fraction", lambda rep: rep.uninformed[victim]))
     return 0
 
 
@@ -196,7 +200,7 @@ def _cmd_multihoming_sweep(args) -> int:
         raise _CliError(USAGE_ERR, f"bad --degrees {args.degrees!r}: expected comma-separated integers") from None
     if min(degrees) < 1:
         raise _CliError(USAGE_ERR, f"bad --degrees {args.degrees!r}: a pool is hosted in at least 1 AS")
-    rows = []
+    cells = []
     for d in degrees:
         scn = synth.adjust_pool_degree(raw, d)
         scn["attack"] = {
@@ -204,11 +208,8 @@ def _cmd_multihoming_sweep(args) -> int:
             "target": [],
             "params": {"coalition": args.coalition, "interception": 1.0},
         }
-        digest = _load_topology(scn, overrides).config_digest()
-        reports = engine._map_tasks(_report_job, [(scn, s, overrides) for s in seeds])
-        for rep in reports:
-            rows.append((f"{digest}:degree={d}", rep.seed, "orphan_rate", rep.orphan_rate))
-    _write(args.out, metrics.csv_bytes(rows))
+        cells.append((f"degree={d}", scn))
+    _write(args.out, _sweep_csv(cells, seeds, overrides, "orphan_rate", lambda rep: rep.orphan_rate))
     return 0
 
 

@@ -60,7 +60,8 @@ class Simulation:
         self.now = 0.0
         self._times: list[float] = []  # heap of the distinct times in `_buckets`
         self._buckets: dict[float, list[tuple]] = {}  # time -> [(handler, args)] in push order
-        self.nodes = {nid: pr.Node(nid) for nid in sorted(topo.nodes)}
+        self.known = {pr.GENESIS.hash: pr.GENESIS}  # every node's block bodies: one table per run
+        self.nodes = {nid: pr.Node(nid, self.known) for nid in sorted(topo.nodes)}
         self._node_order = sorted(topo.nodes)
         self.rng_mine = random.Random(f"{seed}:mine")
         self.rng_net = random.Random(f"{seed}:net")
@@ -76,12 +77,9 @@ class Simulation:
         self._fabric = {n: f for n in self._node_order if (f := topo.fabric_of(n))}  # gateways only
         self._ip16 = {n: _slash16(topo.nodes[n].ip) for n in self._node_order}
         self.dial_veto = None  # pure callable(a, b) -> True to refuse the dial; `_dial` asks it last
-        self.tip_series = {n: [(0.0, 0)] for n in self._node_order}
         self.mined: list[pr.Block] = []
         self.dials = 0
         self.disconnects = 0
-        self._blocks_left = self.params.blocks
-        self._next_index = 0
         self.horizon: float | None = end_time
         if self.params.blocks == 0 and end_time is None:
             self.horizon = self.params.drain_time
@@ -110,18 +108,15 @@ class Simulation:
 
     def _connect(self, a: str, b: str, dialed: bool = True) -> None:
         """Join a and b: `a` dialed `b`, or neither dialed (a pool fabric clique)."""
-        na, nb = self.nodes[a], self.nodes[b]
         if dialed:
             self.dials += 1
-        acts_a = na.on_connect(b, dialed, self.now)
-        acts_b = nb.on_connect(a, False, self.now)
-        if self.delay_attacker is not None and dialed:
-            self.delay_attacker.on_connect(a, b)
-        # on_connect never moves the tip, so an empty action list has nothing to execute
-        if acts_a:
-            self._execute(a, acts_a)
-        if acts_b:
-            self._execute(b, acts_b)
+            if self.delay_attacker is not None:
+                self.delay_attacker.on_connect(a, b)
+        # skipping an empty execute matters: most connects of a churn-only run announce no block
+        if acts := self.nodes[a].on_connect(b, dialed, self.now):
+            self._execute(a, acts)
+        if acts := self.nodes[b].on_connect(a, False, self.now):
+            self._execute(b, acts)
 
     def _dial(self, nid: str, exclude: frozenset = frozenset()) -> bool:
         nodes, ip16, home_as = self.nodes, self._ip16, self._home_as
@@ -233,7 +228,7 @@ class Simulation:
             active_at = attack.start + self.params.convergence_delay
 
             def activate(sim: "Simulation") -> None:
-                sim._coverage = tp.hijack_coverage(sim.topo, announced, attack.attacker_as, sim.seed)
+                sim._coverage = tp.hijack_coverage(sim.topo, announced, sim.seed)
                 sim.partition_attacker = PartitionAttacker(targets, sim.params.threshold, sim.now)
                 sim._push(sim.now + SWEEP_INTERVAL, Simulation._ev_sweep, ())
 
@@ -269,11 +264,6 @@ class Simulation:
                 self._push(arg, Simulation._ev_timeout, (nid, what, arg))
             else:
                 self._disconnect(nid, what)
-        node = self.nodes[nid]
-        series = self.tip_series[nid]
-        height = node.chain.tip.height
-        if height != series[-1][1]:
-            series.append((self.now, height))
 
     def _send(self, src: str, dsts: list[str], msg) -> None:
         """Send `msg` from `src` to each of `dsts`, in order; the only send path.
@@ -322,12 +312,12 @@ class Simulation:
                     groups.pop(when, None)
             else:
                 if inv:
-                    known = nodes[dst].chain.blocks
+                    held = nodes[dst].chain.arrival
                     for _, h in msg.items:
-                        if h not in known:
+                        if h not in held:
                             break
                     else:
-                        # on_inv skips a known hash and a node's blocks only grow, so this
+                        # on_inv skips a held hash and a node's blocks only grow, so this
                         # delivery would change nothing but the clock: queue its time alone
                         if bucket is None:
                             buckets[when] = []
@@ -355,15 +345,14 @@ class Simulation:
         kind = type(msg)
         if kind is pr.InvMsg:
             acts = node.on_inv(src, msg, self.now)
-            if not acts:
-                return  # on_inv never moves the tip, so there is nothing to execute
         elif kind is pr.GetDataMsg:
             acts = node.on_getdata(src, msg, self.now)
         elif kind is pr.BlockMsg:
             acts = node.on_block(src, msg, self.now)
         else:  # pragma: no cover
             raise TypeError(f"unroutable message {msg!r}")
-        self._execute(dst, acts)
+        if acts:
+            self._execute(dst, acts)
 
     def _ev_deliver_all(self, src: str, dsts: list[str], msg) -> None:
         """Deliver `msg` from `src` to each of `dsts` in turn, as one event each would."""
@@ -371,9 +360,7 @@ class Simulation:
             self._ev_deliver(src, dst, msg)
 
     def _ev_timeout(self, nid: str, block_hash: bytes, deadline: float) -> None:
-        acts = self.nodes[nid].on_timeout(block_hash, deadline, self.now)
-        if acts:  # on_timeout never moves the tip, so there is nothing else to execute
-            self._execute(nid, acts)
+        self._execute(nid, self.nodes[nid].on_timeout(block_hash, deadline, self.now))
 
     def _pick_miner(self) -> tuple[str, list[str]]:
         r = self.rng_mine.random()
@@ -388,17 +375,15 @@ class Simulation:
         return pool.pool_id, sorted(pool.gateways)
 
     def _ev_mine(self) -> None:
-        self._blocks_left -= 1
         miner, inserted = self._pick_miner()
         parent = self.nodes[inserted[0]].chain.tip
-        block = pr.make_block(parent, miner, self._next_index, self.now)
-        self._next_index += 1
+        block = pr.make_block(parent, miner, len(self.mined), self.now)
         self.mined.append(block)
         if self.partition_attacker is not None and self._coverage is not None:
             self.partition_attacker.register_block(block.hash, set(inserted))
         for nid in inserted:
             self._execute(nid, self.nodes[nid].accept_block(block, self.now))
-        if self._blocks_left > 0:
+        if len(self.mined) < self.params.blocks:
             self._push(self.now + self.rng_mine.expovariate(1.0 / self.params.block_interval_mean),
                        Simulation._ev_mine, ())
         elif self.horizon is None:
@@ -441,7 +426,7 @@ class Simulation:
     # ---- main loop ----
 
     def _schedule_initial(self) -> None:
-        if self._blocks_left > 0:
+        if self.params.blocks > 0:
             self._push(self.rng_mine.expovariate(1.0 / self.params.block_interval_mean),
                        Simulation._ev_mine, ())
         if self._tx_on:

@@ -24,11 +24,20 @@ def orphan_rate(chain: ChainView, mined: int) -> float:
     return (mined - on_chain) / mined
 
 
+def tip_series(chain: ChainView) -> list[tuple[float, int]]:
+    """The chain's tip height as a step series: (0.0, 0), then (time, height) at each rise, in arrival order."""
+    series = [(0.0, 0)]
+    for h, t in chain.arrival.items():
+        if chain.known[h].height > series[-1][1]:
+            series.append((t, chain.known[h].height))
+    return series
+
+
 def uninformed_fraction(victim_series, reference_series, until: float) -> float:
     """Fraction of [0, until] where the victim's tip height trails the reference.
 
-    Both inputs are tip-height step series [(time, height), ...] in event
-    order.  Strict comparison: matching heights count as informed.
+    Both inputs are `tip_series`; of several points at one time (an orphan
+    cascade) the last holds.  Strict comparison: matching heights count as informed.
     """
     if until <= 0:
         return 0.0
@@ -136,13 +145,11 @@ def summarize(run) -> MetricsReport:
     against a node literally named "ref" if the scenario ships one.
     """
     observer = run.nodes[min(run.nodes)]
-    mined_total = len(run.mined)
-    blocks_mined: dict[str, int] = {}
-    for b in run.mined:
-        blocks_mined[b.miner] = blocks_mined.get(b.miner, 0) + 1
     on_chain = set(observer.chain.main_chain())
+    blocks_mined: dict[str, int] = {}
     blocks_in_chain: dict[str, int] = {}
     for b in run.mined:
+        blocks_mined[b.miner] = blocks_mined.get(b.miner, 0) + 1
         if b.hash in on_chain:
             blocks_in_chain[b.miner] = blocks_in_chain.get(b.miner, 0) + 1
 
@@ -151,7 +158,7 @@ def summarize(run) -> MetricsReport:
     if da is not None and da.mode == "node" and da.victim and "ref" in run.nodes:
         last_mined = run.mined[-1].created if run.mined else 0.0
         uninformed[da.victim] = uninformed_fraction(
-            run.tip_series[da.victim], run.tip_series["ref"], last_mined
+            tip_series(run.nodes[da.victim].chain), tip_series(run.nodes["ref"].chain), last_mined
         )
 
     partition = None
@@ -160,7 +167,7 @@ def summarize(run) -> MetricsReport:
         partition["external_blocks_in_isolated"] = sum(
             1
             for nid in partition["isolated"]
-            for h in run.nodes[nid].chain.blocks
+            for h in run.nodes[nid].chain.arrival
             if run.partition_attacker.is_external(h)
         )
 
@@ -168,7 +175,7 @@ def summarize(run) -> MetricsReport:
     return MetricsReport(
         seed=run.seed,
         config=run.topo.config_digest(),
-        orphan_rate=orphan_rate(observer.chain, mined_total) if mined_total else 0.0,
+        orphan_rate=orphan_rate(observer.chain, len(run.mined)),
         prop_delay_p50=p50,
         prop_delay_partial=flagged,
         uninformed=uninformed,

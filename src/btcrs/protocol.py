@@ -104,19 +104,19 @@ def from_wire(frame: bytes):
 
 
 class ChainView:
-    """Block tree plus the node's idea of the active tip."""
+    """Held blocks (`arrival`: hash -> time, in arrival order) and the tip; bodies are in the run's shared `known`."""
 
-    def __init__(self):
-        self.blocks: dict[bytes, Block] = {GENESIS.hash: GENESIS}
+    def __init__(self, known: dict[bytes, Block] | None = None):
+        self.known = {GENESIS.hash: GENESIS} if known is None else known
         self.arrival: dict[bytes, float] = {GENESIS.hash: 0.0}
         self.tip: Block = GENESIS
         self._waiting: dict[bytes, list[Block]] = {}  # parent hash -> orphaned children
 
     def add(self, block: Block, now: float) -> list[Block]:
-        """Insert if the parent is known; return every block that became connected."""
-        if block.hash in self.blocks:
+        """Insert if the parent is held; return every block that became connected."""
+        if block.hash in self.arrival:
             return []
-        if block.parent not in self.blocks:
+        if block.parent not in self.arrival:
             kids = self._waiting.setdefault(block.parent, [])
             if all(b.hash != block.hash for b in kids):
                 kids.append(block)
@@ -127,9 +127,9 @@ class ChainView:
         while i < len(queue):  # the orphan cascade, breadth first; `queue` grows as it goes
             blk = queue[i]
             i += 1
-            if blk.hash in self.blocks:
+            if blk.hash in self.arrival:
                 continue
-            self.blocks[blk.hash] = blk
+            self.known[blk.hash] = blk
             self.arrival[blk.hash] = now
             connected.append(blk)
             if blk.height > self.tip.height:
@@ -143,7 +143,7 @@ class ChainView:
         cur: Block | None = self.tip
         while cur is not None:
             out.append(cur.hash)
-            cur = self.blocks.get(cur.parent) if cur.parent else None
+            cur = self.known.get(cur.parent) if cur.parent else None
         return list(reversed(out))
 
 
@@ -164,9 +164,9 @@ SEND, TIMER, DROP = 0, 1, 2
 class Node:
     """One Bitcoin node.  Handlers return actions for the engine to execute."""
 
-    def __init__(self, node_id: str):
+    def __init__(self, node_id: str, known: dict[bytes, Block] | None = None):
         self.node_id = node_id
-        self.chain = ChainView()
+        self.chain = ChainView(known)
         # peer -> one-way delay of the link to it, None until the engine's first send fills it
         self.peers: dict[str, float | None] = {}
         self.pending: dict[bytes, Pending] = {}
@@ -204,9 +204,9 @@ class Node:
 
     def on_inv(self, from_peer: str, msg: InvMsg, now: float) -> list:
         actions = []
-        blocks = self.chain.blocks
+        held = self.chain.arrival
         for inv_type, h in msg.items:
-            if inv_type != wire.INV_BLOCK or h in blocks:
+            if inv_type != wire.INV_BLOCK or h in held:
                 continue
             ads = self.advertisers.setdefault(h, [])
             if from_peer not in ads:
@@ -218,8 +218,8 @@ class Node:
     def on_getdata(self, from_peer: str, msg: GetDataMsg, now: float) -> list:
         actions = []
         for inv_type, h in msg.items:
-            if inv_type == wire.INV_BLOCK and h in self.chain.blocks:
-                actions.append((SEND, [from_peer], BlockMsg(self.chain.blocks[h])))
+            if inv_type == wire.INV_BLOCK and h in self.chain.arrival:
+                actions.append((SEND, [from_peer], BlockMsg(self.chain.known[h])))
             # tx requests are background noise: nothing to serve
         return actions
 
@@ -246,16 +246,15 @@ class Node:
             # crucially, never re-requests — the pending entry keeps ticking.
             return []
         block = msg.block
-        blocks = self.chain.blocks
-        if block.hash in blocks:
-            self.pending.pop(block.hash, None)
-            return []
+        held = self.chain.arrival
         self.pending.pop(block.hash, None)
+        if block.hash in held:
+            return []
         actions = self.accept_block(block, now, exclude=from_peer)
-        if not actions and block.hash not in blocks:
+        if not actions and block.hash not in held:
             # parent unknown: block is parked; chase the parent hash
             parent = block.parent
-            if parent and parent not in blocks and parent not in self.pending:
+            if parent and parent not in held and parent not in self.pending:
                 ads = self.advertisers.setdefault(parent, [])
                 if from_peer not in ads:
                     ads.append(from_peer)
@@ -264,7 +263,7 @@ class Node:
 
     def on_timeout(self, h: bytes, deadline: float, now: float) -> list:
         entry = self.pending.get(h)
-        if entry is None or entry.deadline != deadline or h in self.chain.blocks:
+        if entry is None or entry.deadline != deadline or h in self.chain.arrival:
             return []
         del self.pending[h]
         slow = entry.peer

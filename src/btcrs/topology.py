@@ -316,10 +316,8 @@ class Coverage:
         return coin
 
 
-def hijack_coverage(
-    topo: Topology, announced: list[tuple[str, int]], attacker_as: int, seed: int = 0
-) -> Coverage:
-    """What `attacker_as`'s announcements divert; `read_attack` checks that the AS exists."""
+def hijack_coverage(topo: Topology, announced: list[tuple[str, int]], seed: int = 0) -> Coverage:
+    """What a hijacker's announcements divert, whichever AS makes them."""
     return Coverage(topo, announced, seed)
 
 
@@ -455,11 +453,7 @@ def load_topology(path: str | Path | dict) -> Topology:
             raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
     _require(isinstance(raw, dict), "$", "scenario must be a JSON object")
     for key in raw:
-        _require(
-            key in {"ases", "links", "prefixes", "nodes", "pools", "params", "attack"},
-            key,
-            "unknown top-level key",
-        )
+        _require(key in ENTRY_KEYS or key in ("params", "attack"), key, "unknown top-level key")
 
     countries: dict[int, str] = {}
     for where, entry in _entries(raw, "ases"):
@@ -602,14 +596,27 @@ def load_topology(path: str | Path | dict) -> Topology:
     return topo
 
 
+# the keys an entry of each top-level list may have
+ENTRY_KEYS = {
+    "ases": frozenset({"id", "country"}),
+    "links": frozenset({"a", "b", "rel"}),
+    "prefixes": frozenset({"base", "len", "origin_as"}),
+    "nodes": frozenset({"id", "ip", "prefix", "as"}),
+    "pools": frozenset({"id", "gateways", "hash_share", "private_peers"}),
+}
+
+
 def _entries(raw: dict, key: str):
-    """Yield (JSON location, object) for each entry of the top-level list `key`."""
+    """Yield (JSON location, object) for each entry of the top-level list `key`, checking its keys."""
     items = raw.get(key, [])
     _require(isinstance(items, list), key, "must be a list")
+    allowed = ENTRY_KEYS[key]
     for i, entry in enumerate(items):
         where = f"{key}[{i}]"
         if not isinstance(entry, dict):
             raise ScenarioError(f"{where}: must be an object")
+        if not allowed.issuperset(entry):
+            raise ScenarioError(f"{where}.{next(k for k in entry if k not in allowed)}: unknown key")
         yield where, entry
 
 

@@ -63,7 +63,7 @@ def test_criterion_2_partition_matches_planner():
         kept = targets - set(rep["leaked"])
         matches += kept == expect
         for nid in rep["isolated"]:
-            for h in res.nodes[nid].chain.blocks:
+            for h in res.nodes[nid].chain.arrival:
                 external_hits += res.partition_attacker.is_external(h)
     elapsed = perf_counter() - t0
     ok = matches == 200 and external_hits == 0 and elapsed < 120.0

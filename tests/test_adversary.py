@@ -196,7 +196,7 @@ def test_outgoing_delay_holds_block_then_restores_on_next_tx():
     b = pipe.peer_mines(0, 10.0)
     # the INV went through, the getdata got rewritten to the genesis hash:
     # peer served a block the victim already had, so the request is still open
-    assert b.hash not in pipe.v.chain.blocks
+    assert b.hash not in pipe.v.chain.arrival
     assert pipe.v.pending[b.hash].deadline == 10.0 + 1200.0
     assert pipe.attacker.rewrites == 1
     # first tx request while the stash is live carries the request back
@@ -223,7 +223,7 @@ def test_second_block_request_passes_while_a_swap_is_pending():
     assert any(b.hash == b2.hash for kids in pipe.v.chain._waiting.values() for b in kids)
     assert pipe.v.chain.tip.height == 0
     pipe.victim_tx_request(250.0)  # restore b1: the buffered child cascades in
-    assert b1.hash in pipe.v.chain.blocks and b2.hash in pipe.v.chain.blocks
+    assert b1.hash in pipe.v.chain.arrival and b2.hash in pipe.v.chain.arrival
     assert pipe.v.chain.tip == b2
     for t in list(pipe.timers):
         pipe.fire_timer(t, t.deadline)
@@ -234,7 +234,7 @@ def test_stash_expires_restore_margin_after_the_swap():
     pipe = Pipe(outgoing_attacker())
     b = pipe.peer_mines(0, 0.0)
     pipe.victim_tx_request(300.0)  # margin is 300 s: one tick too late
-    assert b.hash not in pipe.v.chain.blocks
+    assert b.hash not in pipe.v.chain.arrival
     assert ("v", "p") not in pipe.attacker._stash
     # with no carrier in time the victim walks away at the protocol deadline
     (t,) = pipe.timers
@@ -250,13 +250,13 @@ def test_incoming_corruption_starves_victim_until_exact_timeout():
     b = pipe.peer_mines(0, 10.0)
     # the block did cross the wire, but with a broken checksum every time
     assert attacker.corruptions == 1
-    assert b.hash not in pipe.v.chain.blocks
+    assert b.hash not in pipe.v.chain.arrival
     assert b.hash in pipe.v.pending  # corrupted copies are not re-requested
     (t,) = pipe.timers
     assert t.deadline == 10.0 + 1200.0
     pipe.fire_timer(t, t.deadline)
     assert pipe.disconnects == [("v", "p", 1210.0)]  # exactly request + 1200 s
-    assert b.hash not in pipe.v.chain.blocks
+    assert b.hash not in pipe.v.chain.arrival
 
 
 def test_node_mode_interception_bookkeeping():

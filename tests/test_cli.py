@@ -217,6 +217,16 @@ def test_misspelled_attack_key_is_scenario_error(tmp_path, capsys):
     assert "attack.params.interceptoin: unknown key" in capsys.readouterr().err
 
 
+def test_misspelled_entry_key_is_scenario_error(tmp_path, capsys):
+    # if it were ignored, the run would go on without the pool's private peering
+    raw = json.loads(Path(PAPERLIKE).read_text())
+    raw["pools"][0]["private_peerz"] = raw["pools"][0].pop("private_peers")
+    bad = tmp_path / "bad.scn"
+    bad.write_text(json.dumps(raw))
+    assert run_cli("run", "--scenario", str(bad), "--seeds", "0") == 3
+    assert "pools[0].private_peerz: unknown key" in capsys.readouterr().err
+
+
 def test_multihoming_sweep_row_grid(tmp_path):
     out = tmp_path / "mh.csv"
     assert run_cli("multihoming-sweep", "--scenario", PAPERLIKE, "--degrees", "1,3",
@@ -225,6 +235,25 @@ def test_multihoming_sweep_row_grid(tmp_path):
     assert len(lines) == 1 + 2 * 2
     assert all("orphan_rate" in ln for ln in lines[1:])
     assert {ln.split(",")[0].rsplit(":", 1)[1] for ln in lines[1:]} == {"degree=1", "degree=3"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("delay-node", "--scenario", DELAYNODE, "--interception", "0,1", "--seeds", "0..1", "--set", "blocks=3"),
+    ("multihoming-sweep", "--scenario", PAPERLIKE, "--degrees", "1,3", "--coalition", "US", "--seeds", "0..1",
+     "--set", "blocks=3"),
+], ids=["delay-node", "multihoming-sweep"])
+def test_sweep_submits_every_cell_and_seed_to_one_pool(tmp_path, monkeypatch, argv):
+    calls = []
+    map_tasks = cli.engine._map_tasks
+    monkeypatch.setattr(cli.engine, "_map_tasks", lambda fn, tasks: calls.append(len(tasks)) or map_tasks(fn, tasks))
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("BTCRS_THREADS", threads)
+        out = tmp_path / f"sweep{threads}.csv"
+        assert run_cli(*argv, "--out", str(out)) == 0
+        outputs.append(out.read_bytes())
+    assert calls == [4, 4]
+    assert outputs[0] == outputs[1]
 
 
 def test_multihoming_sweep_unknown_coalition_is_scenario_error():

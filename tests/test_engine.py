@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btcrs import engine, synth, wire
+from btcrs import engine, metrics, synth, wire
 from btcrs import protocol as pr
 from btcrs import topology as tp
 
@@ -51,7 +51,7 @@ def test_same_seed_same_run():
     assert [(m.created, m.hash, m.miner) for m in a.mined] == [
         (m.created, m.hash, m.miner) for m in b.mined
     ]
-    assert a.tip_series == b.tip_series
+    assert all(metrics.tip_series(a.nodes[n].chain) == metrics.tip_series(b.nodes[n].chain) for n in a.nodes)
     assert (a.dials, a.disconnects) == (b.dials, b.disconnects)
 
 
@@ -231,7 +231,7 @@ def _run_state(cls, topo, seed, inject=None):
     return {
         "now": sim.now,
         "mined": [(m.created, m.hash, m.miner) for m in res.mined],
-        "tip_series": res.tip_series,
+        "tip_series": {nid: metrics.tip_series(n.chain) for nid, n in res.nodes.items()},
         "dials": res.dials,
         "disconnects": res.disconnects,
         "partition": res.partition_attacker and res.partition_attacker.report(),
@@ -478,7 +478,7 @@ def test_lone_peer_of_the_sender_still_records_its_tip():
     raw = tiny_world(connections=conns)
     res = engine.run_scenario(raw, seed=1)
     for end in ("n1", "n6"):
-        assert [h for _, h in res.tip_series[end]] == list(range(len(res.mined) + 1))
+        assert [h for _, h in metrics.tip_series(res.nodes[end].chain)] == list(range(len(res.mined) + 1))
     _assert_same_as_heap(raw, seed=1)
 
 
@@ -489,7 +489,71 @@ def test_held_blocks_keep_no_advertisers():
     res = engine.run_scenario(raw, seed=0)
     assert len(res.mined) == 4
     for node in res.nodes.values():
-        assert not any(h in node.chain.blocks for h in node.advertisers)
+        assert not any(h in node.chain.arrival for h in node.advertisers)
+
+
+class TipRecordingSimulation(engine.Simulation):
+    """Records each node's tip height as it moves: a log kept apart from arrivals, to check `metrics.tip_series`.
+
+    `accept_block`, from `on_block` or mining, is the only call that connects
+    blocks, so recording after each call sees every move at the time it happens.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.recorded = {nid: [(0.0, 0)] for nid in self.nodes}
+        for node in self.nodes.values():
+            node.accept_block = self._recording(node, node.accept_block)
+
+    def _recording(self, node, accept_block):
+        def wrapper(*args, **kwargs):
+            actions = accept_block(*args, **kwargs)
+            series, height = self.recorded[node.node_id], node.chain.tip.height
+            if height != series[-1][1]:
+                series.append((self.now, height))
+            return actions
+        return wrapper
+
+
+def _last_per_time(series):
+    return list({t: (t, h) for t, h in series}.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(0, 2**16))
+def test_tip_series_from_arrivals_equals_a_recorded_tip_log(data, seed):
+    kind = data.draw(st.sampled_from(["gossip", "paperlike", "coalition", "delay", "hijack", "perfect"]))
+    raw = data.draw(gossip_worlds() if kind == "gossip" else tx_worlds(kind))
+    topo = tp.load_topology(raw)
+    sim = TipRecordingSimulation(topo, seed, attack=topo.attack).run()
+    derived = {nid: metrics.tip_series(n.chain) for nid, n in sim.nodes.items()}
+    for nid in sim.nodes:
+        assert _last_per_time(derived[nid]) == _last_per_time(sim.recorded[nid]), nid
+    first, last = min(sim.nodes), max(sim.nodes)
+    for until in (sim.mined[-1].created if sim.mined else 0.0, sim.now):
+        for a, b in ((first, last), (last, first)):
+            want = metrics.uninformed_fraction(sim.recorded[a], sim.recorded[b], until)
+            assert metrics.uninformed_fraction(derived[a], derived[b], until) == want
+    # one block table serves every node, and it holds exactly what was mined
+    assert all(n.chain.known is sim.known for n in sim.nodes.values())
+    assert set(sim.known) == {pr.GENESIS.hash} | {b.hash for b in sim.mined}
+
+
+@pytest.mark.parametrize("raw", [paperlike(), tiny_world()], ids=["paperlike", "tiny"])
+def test_all_nodes_share_one_block_table_of_genesis_and_mined(raw):
+    sim = engine.run_scenario(raw, seed=3)
+    tables = {id(n.chain.known) for n in sim.nodes.values()}
+    assert tables == {id(sim.known)}
+    assert sorted(sim.known) == sorted([pr.GENESIS.hash] + [b.hash for b in sim.mined])
+    assert len(sim.mined) == sim.params.blocks
+
+
+def test_chain_view_has_no_per_node_block_table():
+    # `arrival` is the held set; a read of a per-node `blocks` table must fail, not walk the run's table
+    sim = engine.run_scenario(tiny_world(), seed=0)
+    for chain in (pr.ChainView(), pr.Node("n").chain, sim.nodes["n1"].chain):
+        assert not hasattr(chain, "blocks")
+        assert set(chain.arrival) <= set(chain.known)
 
 
 @pytest.mark.parametrize("n_relays", [0, 1, 2, 50])

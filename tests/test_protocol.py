@@ -132,7 +132,7 @@ def test_timeout_disconnects_and_walks_advertiser_list():
     n.on_disconnect("p1")
     # block finally shows up from the retry target
     n.on_block("p2", pr.BlockMsg(b), 1300.0)
-    assert b.hash in n.chain.blocks and b.hash not in n.pending
+    assert b.hash in n.chain.arrival and b.hash not in n.pending
 
 
 def test_stale_timer_is_ignored():
@@ -266,7 +266,7 @@ def test_any_arrival_order_connects_everything(tree):
     c = pr.ChainView()
     for i, b in enumerate(order):
         c.add(b, float(i))
-    assert all(b.hash in c.blocks for b in blocks)
+    assert all(b.hash in c.arrival for b in blocks)
     best = max(b.height for b in blocks)
     assert c.tip.height == best
     # the tip must be the first *connectable* block of maximal height: at

@@ -48,6 +48,15 @@ def test_attack_params_schema_matches_the_key_table(scenario_schema):
         assert spec["description"].startswith(f"{kind_of[key]} only"), key
 
 
+def test_entry_schemas_match_the_key_table(scenario_schema):
+    lists = scenario_schema["properties"]
+    assert set(lists) == set(tp.ENTRY_KEYS) | {"params", "attack"}
+    for key, keys in tp.ENTRY_KEYS.items():
+        items = lists[key]["items"]
+        assert items["additionalProperties"] is False, key
+        assert set(items["properties"]) == set(keys), key
+
+
 def test_generated_scenarios_validate(scenario_schema):
     jsonschema.validate(synth.random_partition_case(seed=3), scenario_schema)
     jsonschema.validate(synth.two_halves(n_nodes=60, n_as=6, seed=1), scenario_schema)

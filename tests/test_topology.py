@@ -312,6 +312,25 @@ def test_attack_keys_outside_the_kind_table_are_rejected(attack, where):
     assert str(err.value).startswith(f"{where}: ")
 
 
+@pytest.mark.parametrize(
+    "key, entry, where",
+    [
+        # each would load and silently drop the key; a pool without its private peering simulates another world
+        ("ases", {"id": 1, "contry": "US"}, "ases[0].contry"),
+        ("links", {"a": 2, "b": 1, "rel": "c2p", "relation": "p2p"}, "links[0].relation"),
+        ("prefixes", {"base": "10.1.0.0", "len": 16, "origin_as": 1, "origin": 1}, "prefixes[0].origin"),
+        ("nodes", {"id": "n1", "ip": "10.1.0.1", "prefix": "10.1.0.0/16", "asn": 1}, "nodes[0].asn"),
+        ("pools", {"id": "p", "gateways": ["n1"], "hash_share": 1.0, "private_peerz": []}, "pools[0].private_peerz"),
+    ],
+)
+def test_entry_keys_outside_the_list_table_are_rejected(key, entry, where):
+    doc = minimal_scenario()
+    doc[key] = [entry] + doc[key][1:]
+    with pytest.raises(tp.ScenarioError) as err:
+        tp.load_topology(doc)
+    assert str(err.value) == f"{where}: unknown key"
+
+
 def test_read_attack_settles_what_the_engine_runs():
     topo = tp.load_topology(minimal_scenario())
     hijack = {"kind": "partition", "target": ["n1"],
@@ -449,7 +468,7 @@ def three_as_topology():
 
 def test_more_specific_pair_fully_diverts_a_slash16():
     topo = three_as_topology()
-    cov = tp.hijack_coverage(topo, [("10.1.0.0", 17), ("10.1.128.0", 17)], attacker_as=3)
+    cov = tp.hijack_coverage(topo, [("10.1.0.0", 17), ("10.1.128.0", 17)])
     for node in ("v", "w"):
         assert fully_diverted(cov, node)
         assert cov.diverted(node, src_as=2)
@@ -460,7 +479,7 @@ def test_more_specific_pair_fully_diverts_a_slash16():
 
 def test_single_slash17_covers_only_lower_half():
     topo = three_as_topology()
-    cov = tp.hijack_coverage(topo, [("10.1.0.0", 17)], attacker_as=3)
+    cov = tp.hijack_coverage(topo, [("10.1.0.0", 17)])
     assert cov.diverted("v", 2)  # 10.1.7.7 is in the announced half
     assert not cov.diverted("w", 2)  # 10.1.200.9 is not
 
@@ -475,20 +494,20 @@ def test_equal_length_announcement_splits_sources_roughly_in_half():
         "params": {},
     }
     topo = tp.load_topology(doc)
-    cov = tp.hijack_coverage(topo, [("10.1.0.0", 16)], attacker_as=99, seed=5)
+    cov = tp.hijack_coverage(topo, [("10.1.0.0", 16)], seed=5)
     assert not fully_diverted(cov, "v")
     sources = [a for a in range(2, 60)]
     diverted = sum(cov.diverted("v", a) for a in sources)
     # Bernoulli(0.5) over 58 source ASes: 3 sigma ~ 11.4
     assert 17 <= diverted <= 41
     # deterministic for a fixed seed
-    again = tp.hijack_coverage(topo, [("10.1.0.0", 16)], attacker_as=99, seed=5)
+    again = tp.hijack_coverage(topo, [("10.1.0.0", 16)], seed=5)
     assert [again.diverted("v", a) for a in sources] == [cov.diverted("v", a) for a in sources]
 
 
 def test_equal_length_race_seeds_one_coin_per_source_as(monkeypatch):
     topo = three_as_topology()
-    cov = tp.hijack_coverage(topo, [("10.1.0.0", 16)], attacker_as=3, seed=5)
+    cov = tp.hijack_coverage(topo, [("10.1.0.0", 16)], seed=5)
     made = []
 
     class CountingRandom(random.Random):
@@ -505,7 +524,7 @@ def test_equal_length_race_seeds_one_coin_per_source_as(monkeypatch):
 def test_slash25_announcement_rejected():
     topo = three_as_topology()
     with pytest.raises(tp.ScenarioError) as err:
-        tp.hijack_coverage(topo, [("10.1.0.0", 25)], attacker_as=3)
+        tp.hijack_coverage(topo, [("10.1.0.0", 25)])
     assert "filtered" in str(err.value)
 
 
@@ -517,8 +536,8 @@ def test_adding_more_specific_never_shrinks_coverage(ip_suffix, extra_len):
     base = [("10.1.0.0", 17)]
     net = ipaddress.ip_network(f"{ip}/{extra_len}", strict=False)
     more = base + [(str(net.network_address), extra_len)]
-    cov_base = tp.hijack_coverage(topo, base, attacker_as=3)
-    cov_more = tp.hijack_coverage(topo, more, attacker_as=3)
+    cov_base = tp.hijack_coverage(topo, base)
+    cov_more = tp.hijack_coverage(topo, more)
     for node in topo.nodes:
         for src in (2, 3):
             if cov_base.diverted(node, src):
@@ -589,7 +608,7 @@ def test_coverage_equals_ipaddress_reference(data):
                        {1: set(), 2: set(), 3: {1, 2}}, {1: set(), 2: set(), 3: set()})
     topo = tp.Topology(graph, [], nodes, {}, {}, None, {})
     seed = data.draw(st.integers(0, 2**16))
-    cov = tp.hijack_coverage(topo, announced, attacker_as=3, seed=seed)
+    cov = tp.hijack_coverage(topo, announced, seed=seed)
     ref = IpaddressCoverage(topo, announced, seed)
     for node in nodes:
         assert fully_diverted(cov, node) == ref.fully_diverted(node)
