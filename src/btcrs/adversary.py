@@ -5,11 +5,13 @@ that travel between partition members, none of which mention a block mined
 outside.  A member caught relaying outside information is `leaked` and cut
 off; a member not heard from for `threshold` seconds is `unresponsive`.
 
-The delay attacker rewrites block requests in flight so the victim's peer
-serves a block the victim already has.  The original request is remembered
-and, shortly before the victim's 20-minute patience runs out, smuggled back
-inside an unrelated transaction request, so the block arrives late but the
-connection survives.
+The delay attacker runs a `topology.Attack` of kind `delay` or `coalition`.
+It rewrites block requests in flight so the requester's peer serves a block
+the requester already has.  Under a `delay` attack the original request is
+remembered and, shortly before the victim's 20-minute patience runs out,
+smuggled back inside an unrelated transaction request, so the block arrives
+late but the connection survives; with direction `incoming` the victim's
+blocks are corrupted instead.  A `coalition` attack never gives a block back.
 
 Tampering works on protocol message objects, never on wire frames.  Each
 edit is one the byte-level reference in `wire` can make in flight: a
@@ -128,49 +130,44 @@ def _with_item(msg: GetDataMsg, i: int, item: tuple[int, bytes]) -> GetDataMsg:
     return GetDataMsg(msg.items[:i] + [item] + msg.items[i + 1 :])
 
 
-@dataclass
 class DelayAttacker:
-    """In-path tamperer for block delivery on intercepted connections.
+    """In-path tamperer of block delivery, built from a run's `delay` or `coalition` Attack.
 
-    `mode="node"` pins a fixed number of the victim's outgoing connections
-    (round(interception * outgoing_target)), re-acquiring replacements as
-    connections churn.  `mode="network"` intercepts every connection whose
-    AS path crosses the coalition, and never restores: every delayed block
-    costs the downstream node a 20-minute wait and the connection.
+    A `delay` attack pins round(interception * params.outgoing_target) of
+    victim `target[0]`'s dialed connections, re-acquiring replacements as
+    connections churn, and tampers with the victim's messages in the
+    attack's `direction`.  A `coalition` attack intercepts every message
+    whose AS route crosses the coalition, and never restores: every delayed
+    block costs the downstream node a 20-minute wait and the connection.
+    Pool fabric links are not routed over the open net; the engine never
+    shows them to the attacker.
     """
 
-    mode: str = "node"
-    direction: str = "outgoing"  # node mode: "outgoing" | "incoming"
-    victim: str | None = None
-    interception: float = 1.0
-    outgoing_target: int = 8
-    restore_margin: float = 300.0
-    coalition: frozenset = frozenset()
-    topo: tp.Topology | None = None
-
-    def __post_init__(self):
+    def __init__(self, attack: tp.Attack, params: tp.SimParams, topo: tp.Topology | None = None):
+        delay = attack.kind == "delay"
+        self.victim = attack.target[0] if delay else None
+        self.incoming = delay and attack.direction == "incoming"
+        self.coalition = None if delay else attack.coalition  # None: a single-victim attack
+        self.target_count = round(attack.interception * params.outgoing_target)
+        margin = attack.restore_margin
+        self.restore_margin = params.restore_margin if margin is None else margin
+        self.topo = topo
         self.intercepted: set[str] = set()
         self._stash: dict[tuple[str, str], _Stash] = {}
-        self._hits: dict[tuple[str, str], bool] = {}  # network mode: (src, dst) -> intercepts
+        self._hits: dict[tuple[str, str], bool] = {}  # coalition: (src, dst) -> intercepts
         self.rewrites = 0
         self.restores = 0
         self.corruptions = 0
 
-    # ---- interception bookkeeping (node mode) ----
-
-    @property
-    def target_count(self) -> int:
-        return round(self.interception * self.outgoing_target)
+    # ---- interception bookkeeping (delay attack) ----
 
     def on_connect(self, a: str, b: str) -> None:
-        if self.mode != "node":
-            return
         if a == self.victim and len(self.intercepted) < self.target_count:
             self.intercepted.add(b)
 
     def on_disconnect(self, a: str, b: str) -> None:
         """The connection a-b closed; either end may be the victim."""
-        if self.mode != "node" or self.victim not in (a, b):
+        if self.victim not in (a, b):
             return
         self.intercepted.discard(b if a == self.victim else a)
         self._stash.pop((a, b), None)
@@ -178,24 +175,18 @@ class DelayAttacker:
 
     # ---- message selection ----
 
-    def _crosses_coalition(self, src: str, dst: str) -> bool:
-        try:
-            return bool(tp.intercepting_ases(self.topo, src, dst) & self.coalition)
-        except tp.ScenarioError:
-            return False
-
     def intercepts(self, src: str, dst: str) -> bool:
-        if self.mode == "network":
-            # one verdict per ordered pair: fabrics and routes are fixed for the run
+        if self.coalition is not None:
+            # one verdict per ordered pair: routes are fixed for the run
             hit = self._hits.get((src, dst))
             if hit is None:
-                # a private pool fabric is not routed over the open net
-                hit = dst not in self.topo.fabric_of(src) and self._crosses_coalition(src, dst)
-                self._hits[src, dst] = hit
+                nodes = self.topo.nodes
+                path = self.topo.forwarding.path(nodes[src].home_as, nodes[dst].home_as)
+                hit = self._hits[src, dst] = path is not None and not self.coalition.isdisjoint(path)
             return hit
-        if self.direction == "outgoing":
-            return src == self.victim and dst in self.intercepted
-        return dst == self.victim and src in self.intercepted
+        if self.incoming:
+            return dst == self.victim and src in self.intercepted
+        return src == self.victim and dst in self.intercepted
 
     # ---- message tampering ----
 
@@ -205,7 +196,7 @@ class DelayAttacker:
         An edit returns a new object and never mutates `msg`: the sender may
         hand the same message to every peer.
         """
-        if self.mode == "node" and self.direction == "incoming":
+        if self.incoming:
             if isinstance(msg, BlockMsg):
                 self.corruptions += 1
                 return BlockMsg(GENESIS, valid=False)
@@ -222,16 +213,15 @@ class DelayAttacker:
             stash = None
         idx, block_hash = _first_item(msg.items, wire.INV_BLOCK)
         if block_hash is not None and block_hash != GENESIS.hash:
-            if self.mode == "node" and stash is not None:
+            if stash is not None:
                 # one tampered retrieval per connection at a time: while a
                 # swap is pending, further block requests pass untouched
                 return msg
             self.rewrites += 1
-            if self.mode == "node":
+            if self.coalition is None:  # a coalition never restores, so it stashes nothing
                 self._stash[key] = _Stash(block_hash, expires=now + self.restore_margin)
-            # network mode never stashes: it never restores
             return _with_item(msg, idx, (wire.INV_BLOCK, GENESIS.hash))
-        if self.mode == "node" and stash is not None:
+        if stash is not None:
             tx_idx, _ = _first_item(msg.items, wire.INV_TX)
             if tx_idx is not None:
                 self._stash.pop(key, None)

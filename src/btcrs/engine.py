@@ -17,8 +17,8 @@ instantly and invisibly to any on-path attacker.  A connection's delay is
 computed on its first send and kept, per direction, as the value of
 `Node.peers` until it closes.
 
-Background transaction chatter runs only when the attack reads it: a
-node-mode delay attack or a hijack partition (`topology.Attack.reads_tx`).
+Background transaction chatter runs only when the attack reads it:
+a `delay` attack or a hijack partition (`topology.Attack.reads_tx`).
 Anywhere else a tx request changes no state, so leaving it out keeps every
 output and can only end the final clock `now` earlier, which no report
 reads.  A new reader of tx frames, such as a per-command frame counter,
@@ -47,16 +47,19 @@ def _slash16(ip: str) -> str:
 
 
 class Simulation:
-    """One seeded run over a loaded topology."""
+    """One seeded run over a loaded topology.
+
+    `overrides` replace entries of the scenario's `params` block; a key or
+    value that `--set` would refuse raises ScenarioError naming `params.<key>`.
+    """
 
     def __init__(self, topo: tp.Topology, seed: int, overrides: dict | None = None,
                  attack: dict | None = None, end_time: float | None = None):
-        merged = dict(topo.params)
-        if overrides:
-            merged.update(overrides)
+        overrides = overrides or {}
+        tp.check_params(overrides, topo.nodes)
         self.topo = topo
         self.seed = seed
-        self.params = tp.SimParams.from_mapping(merged)
+        self.params = tp.SimParams(**{**topo.params, **overrides})
         self.now = 0.0
         self._times: list[float] = []  # heap of the distinct times in `_buckets`
         self._buckets: dict[float, list[tuple]] = {}  # time -> [(handler, args)] in push order
@@ -67,8 +70,8 @@ class Simulation:
         self.rng_net = random.Random(f"{seed}:net")
         # a per-node stream only for the processes `_schedule_initial` starts
         self._churn_on = bool((self.params.churn or {}).get("enabled"))
-        self._attack = tp.read_attack(attack, topo)
-        self._tx_on = self.params.tx_getdata_rate > 0 and self._attack is not None and self._attack.reads_tx
+        self.attack = tp.read_attack(attack, topo)  # the run's typed attack, None without one
+        self._tx_on = self.params.tx_getdata_rate > 0 and self.attack is not None and self.attack.reads_tx
         self._tx_rng = {n: random.Random(f"{seed}:tx:{n}") for n in self._node_order} if self._tx_on else {}
         self._churn_rng = ({n: random.Random(f"{seed}:churn:{n}") for n in self._node_order}
                            if self._churn_on else {})
@@ -208,7 +211,7 @@ class Simulation:
     # ---- attacks ----
 
     def _install_attack(self) -> None:
-        attack = self._attack
+        attack = self.attack
         if attack is None:
             return
         targets = attack.target
@@ -241,18 +244,8 @@ class Simulation:
             if attack.end is not None:
                 # never before activation, which would leave the hijack on for good
                 self.schedule_control(max(attack.end, active_at), deactivate)
-        elif attack.kind == "coalition":
-            self.delay_attacker = DelayAttacker(mode="network", coalition=attack.coalition, topo=self.topo)
-        else:
-            margin = attack.restore_margin
-            self.delay_attacker = DelayAttacker(
-                mode="node",
-                direction=attack.direction,
-                victim=targets[0],
-                interception=attack.interception,
-                outgoing_target=self.params.outgoing_target,
-                restore_margin=self.params.restore_margin if margin is None else margin,
-            )
+        else:  # delay or coalition
+            self.delay_attacker = DelayAttacker(attack, self.params, self.topo)
 
     # ---- event handlers ----
 
@@ -356,8 +349,9 @@ class Simulation:
 
     def _ev_deliver_all(self, src: str, dsts: list[str], msg) -> None:
         """Deliver `msg` from `src` to each of `dsts` in turn, as one event each would."""
+        deliver = Simulation._ev_deliver  # the handler a single delivery is queued with
         for dst in dsts:
-            self._ev_deliver(src, dst, msg)
+            deliver(self, src, dst, msg)
 
     def _ev_timeout(self, nid: str, block_hash: bytes, deadline: float) -> None:
         self._execute(nid, self.nodes[nid].on_timeout(block_hash, deadline, self.now))

@@ -154,11 +154,11 @@ def summarize(run) -> MetricsReport:
             blocks_in_chain[b.miner] = blocks_in_chain.get(b.miner, 0) + 1
 
     uninformed = {}
-    da = run.delay_attacker
-    if da is not None and da.mode == "node" and da.victim and "ref" in run.nodes:
+    if run.attack is not None and run.attack.kind == "delay" and "ref" in run.nodes:
+        victim = run.attack.target[0]
         last_mined = run.mined[-1].created if run.mined else 0.0
-        uninformed[da.victim] = uninformed_fraction(
-            tip_series(run.nodes[da.victim].chain), tip_series(run.nodes["ref"].chain), last_mined
+        uninformed[victim] = uninformed_fraction(
+            tip_series(run.nodes[victim].chain), tip_series(run.nodes["ref"].chain), last_mined
         )
 
     partition = None

@@ -321,16 +321,6 @@ def hijack_coverage(topo: Topology, announced: list[tuple[str, int]], seed: int 
     return Coverage(topo, announced, seed)
 
 
-def intercepting_ases(topo: Topology, src_node: str, dst_node: str) -> set[int]:
-    """All ASes that naturally see src→dst traffic (endpoints included)."""
-    a = topo.nodes[src_node].home_as
-    b = topo.nodes[dst_node].home_as
-    path = topo.forwarding.path(a, b)
-    if path is None:
-        raise ScenarioError(f"no route from AS{a} to AS{b}; setup should have rejected this pair")
-    return set(path)
-
-
 # -- scenario loading -----------------------------------------------------------
 
 
@@ -370,11 +360,6 @@ class SimParams:
     residual_share: float | None = _param(None, ["number", "null"], minimum=0)
     churn: dict | None = _param(None, ["object", "null"])
     connections: list | None = _param(None, ["array", "null"])
-
-    @classmethod
-    def from_mapping(cls, mapping: dict) -> "SimParams":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in mapping.items() if k in known})
 
 
 _PARAM_SPECS = {f.name: f.metadata for f in fields(SimParams)}
@@ -436,6 +421,14 @@ def check_connections(connections: list | None, node_ids) -> None:
         for end in (a, b):
             _require(end in node_ids, f"params.connections[{i}]", f"unknown node {end!r}")
         _require(a != b, f"params.connections[{i}]", "a node cannot connect to itself")
+
+
+def check_params(params: dict, node_ids) -> None:
+    """Raise ScenarioError naming `params.<key>` unless each entry of `params` is a valid simulation parameter."""
+    for key, value in params.items():
+        problem = param_problem(key, value)
+        _require(problem is None, f"params.{key}", problem)
+    check_connections(params.get("connections"), node_ids)
 
 
 def load_topology(path: str | Path | dict) -> Topology:
@@ -564,10 +557,7 @@ def load_topology(path: str | Path | dict) -> Topology:
     params = raw.get("params", {})
     _require(isinstance(params, dict), "params", "must be an object")
     params = dict(params)
-    for key, value in params.items():
-        problem = param_problem(key, value)
-        _require(problem is None, f"params.{key}", problem)
-    check_connections(params.get("connections"), nodes)
+    check_params(params, nodes)
     residual = params.get("residual_share")
     n_regular = len(nodes) - len(taken)
     if residual is not None:
@@ -653,7 +643,7 @@ class Attack:
     def reads_tx(self) -> bool:
         """Whether the attack reads background transaction requests.
 
-        A node-mode delay attack restores a stolen block request inside one,
+        A `delay` attack restores a stolen block request inside one,
         and a hijack's attacker clocks each diverted sender's liveness by its
         frames.  Nothing else does: a tx-only GETDATA changes no state.
         """

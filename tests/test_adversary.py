@@ -4,7 +4,6 @@ import copy
 import hashlib
 import random
 from collections import namedtuple
-from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -185,10 +184,16 @@ class Pipe:
         self._run(self.v, self.v.on_timeout(timer.block_hash, timer.deadline, now), now)
 
 
+PARAMS = tp.SimParams()
+
+
+def delay_attack(**params):
+    """A delay attack on victim "v", as `read_attack` returns it."""
+    return tp.Attack("delay", ("v",), **params)
+
+
 def outgoing_attacker():
-    return adv.DelayAttacker(
-        mode="node", direction="outgoing", victim="v", interception=1.0
-    )
+    return adv.DelayAttacker(delay_attack(direction="outgoing", interception=1.0), PARAMS)
 
 
 def test_outgoing_delay_holds_block_then_restores_on_next_tx():
@@ -243,9 +248,7 @@ def test_stash_expires_restore_margin_after_the_swap():
 
 
 def test_incoming_corruption_starves_victim_until_exact_timeout():
-    attacker = adv.DelayAttacker(
-        mode="node", direction="incoming", victim="v", interception=1.0
-    )
+    attacker = adv.DelayAttacker(delay_attack(direction="incoming", interception=1.0), PARAMS)
     pipe = Pipe(attacker)
     b = pipe.peer_mines(0, 10.0)
     # the block did cross the wire, but with a broken checksum every time
@@ -260,7 +263,7 @@ def test_incoming_corruption_starves_victim_until_exact_timeout():
 
 
 def test_node_mode_interception_bookkeeping():
-    a = adv.DelayAttacker(mode="node", victim="v", interception=0.5, outgoing_target=8)
+    a = adv.DelayAttacker(delay_attack(interception=0.5), tp.SimParams(outgoing_target=8))
     assert a.target_count == 4
     for i in range(8):
         a.on_connect("v", f"p{i}")
@@ -271,7 +274,7 @@ def test_node_mode_interception_bookkeeping():
     assert a.intercepted == {"p0", "p2", "p3", "p8"}
     a.on_connect("v", "p9")  # back at target: left alone
     assert "p9" not in a.intercepted
-    assert adv.DelayAttacker(victim="v", interception=0.8).target_count == 6
+    assert adv.DelayAttacker(delay_attack(interception=0.8), PARAMS).target_count == 6
     assert not a.intercepts("v", "p9") and a.intercepts("v", "p8")
     assert not a.intercepts("p8", "v")  # outgoing mode tampers one direction
     a._stash[("v", "p2")] = a._stash[("p2", "v")] = adv._Stash(b"h" * 32, expires=1.0)
@@ -279,18 +282,25 @@ def test_node_mode_interception_bookkeeping():
     assert "p2" not in a.intercepted and not a._stash
 
 
-def test_network_mode_follows_as_paths_and_spares_pool_fabric():
+def test_coalition_follows_as_paths():
     topo = tp.load_topology(SCN / "paperlike.scn")
-    a = adv.DelayAttacker(mode="network", coalition=frozenset({3, 7}), topo=topo)
+    a = adv.DelayAttacker(tp.Attack("coalition", (), coalition=frozenset({3, 7})), PARAMS, topo)
     assert a.intercepts("A", "H")  # AS1 -> AS4 transits through 3 and 7
     assert not a.intercepts("A", "C")  # AS1 -> AS2 is a direct peering
     assert a.intercepts("K", "A")  # traffic from AS3 itself is on-path
-    assert not a.intercepts("I", "F")  # red pool fabric, despite the AS7 path
+    # the red fabric I-F is kept from the attacker by the engine's send path, not here
+    unroutable = tp.load_topology({
+        "ases": [{"id": 1, "country": ""}, {"id": 2, "country": ""}], "links": [],
+        "prefixes": [{"base": f"10.{i}.0.0", "len": 16, "origin_as": i} for i in (1, 2)],
+        "nodes": [{"id": n, "ip": f"10.{i}.0.1", "prefix": f"10.{i}.0.0/16", "as": i} for n, i in (("a", 1), ("b", 2))],
+        "pools": [], "params": {"connections": [["a", "b"]]}})
+    both = adv.DelayAttacker(tp.Attack("coalition", (), coalition=frozenset({1, 2})), PARAMS, unroutable)
+    assert not both.intercepts("a", "b")  # no route, so no AS of the coalition is on it
     b = pr.make_block(G, "m", 0, 5.0)
     request = pr.GetDataMsg([(wire.INV_BLOCK, b.hash)])
     assert a.transform("A", "H", request, 5.0) == pr.GetDataMsg([(wire.INV_BLOCK, G.hash)])
     assert request.items == [(wire.INV_BLOCK, b.hash)]  # the sender's object is not edited
-    assert a._stash == {}  # network mode never intends to give the block back
+    assert a._stash == {}  # a coalition never intends to give the block back
     tx = pr.GetDataMsg([(wire.INV_TX, bytes(32))])
     assert a.transform("A", "H", tx, 900.0) is tx
 
@@ -310,7 +320,6 @@ def _first(inventory, inv_type):
     return next(((i, h) for i, (t, h) in enumerate(inventory) if t == inv_type), (None, None))
 
 
-@dataclass
 class FrameDelayAttacker(adv.DelayAttacker):
     """The byte-level tamperer: parses, rewrites and corrupts whole wire frames.
 
@@ -318,15 +327,13 @@ class FrameDelayAttacker(adv.DelayAttacker):
     Its corruption draws from its own seeded stream.
     """
 
-    seed: int = 0
-
-    def __post_init__(self):
-        super().__post_init__()
-        self.rng = random.Random(f"{self.seed}:delay")
+    def __init__(self, attack, params, seed=0):
+        super().__init__(attack, params)
+        self.rng = random.Random(f"{seed}:delay")
 
     def transform(self, src, dst, frame, now):
         parsed = wire.parse(frame)
-        if self.mode == "node" and self.direction == "incoming":
+        if self.incoming:
             if parsed.command == "block":
                 self.corruptions += 1
                 return wire.corrupt_block(frame, self.rng)
@@ -340,13 +347,13 @@ class FrameDelayAttacker(adv.DelayAttacker):
             stash = None
         _, block_hash = _first(parsed.inventory, wire.INV_BLOCK)
         if block_hash is not None and block_hash != G.hash:
-            if self.mode == "node" and stash is not None:
+            if stash is not None:
                 return frame
             self.rewrites += 1
-            if self.mode == "node":
+            if self.coalition is None:
                 self._stash[key] = adv._Stash(block_hash, expires=now + self.restore_margin)
             return wire.rewrite_getdata_hash(frame, block_hash, G.hash)
-        if self.mode == "node" and stash is not None:
+        if stash is not None:
             tx_idx, _ = _first(parsed.inventory, wire.INV_TX)
             if tx_idx is not None:
                 items = list(parsed.inventory)
@@ -378,12 +385,15 @@ _steps = st.lists(
 )
 
 
-@pytest.mark.parametrize("mode,direction", [("network", "outgoing"), ("node", "outgoing"), ("node", "incoming")])
+# the ids name the paper's two scopes: network-wide (a coalition) and a single node
+@pytest.mark.parametrize("kind,direction", [pytest.param("coalition", "outgoing", id="network-outgoing"),
+                                            pytest.param("delay", "outgoing", id="node-outgoing"),
+                                            pytest.param("delay", "incoming", id="node-incoming")])
 @settings(max_examples=150, deadline=None)
 @given(steps=_steps, seed=st.integers(0, 2**32 - 1))
-def test_message_tampering_equals_frame_tampering(mode, direction, steps, seed):
-    kw = dict(mode=mode, direction=direction, victim="v")
-    attacker, ref = adv.DelayAttacker(**kw), FrameDelayAttacker(**kw, seed=seed)
+def test_message_tampering_equals_frame_tampering(kind, direction, steps, seed):
+    attack = tp.Attack(kind, ("v",) if kind == "delay" else (), direction=direction)
+    attacker, ref = adv.DelayAttacker(attack, PARAMS), FrameDelayAttacker(attack, PARAMS, seed=seed)
     now = 0.0
     for (src, dst), dt, msg in steps:
         now += dt
@@ -398,7 +408,7 @@ def test_message_tampering_equals_frame_tampering(mode, direction, steps, seed):
         got = attacker.transform(src, dst, msg, now)
         assert got == pr.from_wire(out)
         assert msg == sent  # the sender's object is never edited
-        if isinstance(msg, pr.BlockMsg) and direction == "incoming" and mode == "node":
+        if isinstance(msg, pr.BlockMsg) and direction == "incoming" and kind == "delay":
             assert got.valid is False
     assert (attacker.rewrites, attacker.restores, attacker.corruptions) == (
         ref.rewrites, ref.restores, ref.corruptions)

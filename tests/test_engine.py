@@ -374,6 +374,18 @@ def test_fabric_link_is_instant_and_unseen_by_the_attacker():
     sim.delay_attacker = _Rewrites("E")
     assert _queued_by(sim, lambda s: s._send("D", ["E"], TX_REQUEST)) == [(0.0, ("D", "E", TX_REQUEST))]
     assert sim.nodes["D"].peers["E"] == 0.0
+    # a real coalition on the route of the red fabric link I (AS5) -> F (AS6): the send path spares it
+    sim = engine.Simulation(tp.load_topology(paperlike()), seed=0,
+                            attack={"kind": "delay", "target": [], "params": {"coalition": [3, 7]}})
+    sim._install_attack()
+    sim._connect("I", "F", dialed=False)
+    sim._connect("A", "H")
+    request = pr.GetDataMsg([(wire.INV_BLOCK, pr.make_block(pr.GENESIS, "m", 0, 0.0).hash)])
+    queued = _queued_by(sim, lambda s: (s._send("I", ["F"], request), s._send("A", ["H"], request)))
+    assert queued[0] == (0.0, ("I", "F", request))
+    assert queued[1][1] == ("A", "H", pr.GetDataMsg([(wire.INV_BLOCK, pr.GENESIS.hash)]))  # AS1 -> AS4 via 3, 7
+    assert list(sim.delay_attacker._hits) == [("A", "H")]  # never asked about the fabric link
+    assert sim.delay_attacker.intercepts("I", "F")  # though its AS route crosses the coalition
 
 
 @pytest.mark.parametrize("onpath", [0.0, 0.5])
@@ -616,12 +628,84 @@ def test_blocks_converge_without_attack():
     assert len(res.mined) == 5
 
 
+class _DeliveryLog(HeapSimulation):
+    """`HeapSimulation` that logs each delivery `Simulation` makes: every one but an INV held in full when sent."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.delivered = []
+
+    def _push(self, when, handler, args):
+        if handler is HeapSimulation._deliver:
+            _, dst, msg = args
+            held = self.nodes[dst].chain.arrival
+            if not (type(msg) is pr.InvMsg and all(h in held for _, h in msg.items)):
+                handler = _DeliveryLog._logged
+        super()._push(when, handler, args)
+
+    def _logged(self, src, dst, msg):
+        self.delivered.append((self.now, src, dst, msg))
+        self._deliver(src, dst, msg)
+
+
+def test_every_delivery_runs_the_class_handler_once(monkeypatch):
+    # single and fan-out deliveries both dispatch through `Simulation._ev_deliver`, so patching it sees all
+    raw = synth.adjust_pool_degree(paperlike(), 3)
+    raw["params"]["blocks"] = 4
+    raw["attack"] = {"kind": "delay", "target": [], "params": {"coalition": "US"}}  # rewrites are single entries
+    topo = tp.load_topology(raw)
+    want = _DeliveryLog(topo, 0, attack=topo.attack).run().delivered
+    delivered, fan_outs = [], []
+    deliver, deliver_all = engine.Simulation._ev_deliver, engine.Simulation._ev_deliver_all
+
+    def counting(sim, src, dst, msg):
+        delivered.append((sim.now, src, dst, msg))
+        deliver(sim, src, dst, msg)
+
+    def batching(sim, src, dsts, msg):
+        fan_outs.append(len(dsts))
+        deliver_all(sim, src, dsts, msg)
+
+    monkeypatch.setattr(engine.Simulation, "_ev_deliver", counting)
+    monkeypatch.setattr(engine.Simulation, "_ev_deliver_all", batching)
+    engine.run_scenario(topo, 0)
+    assert max(fan_outs) > 1 and len(delivered) > sum(fan_outs)  # both kinds of entry ran
+    assert len(delivered) == len(want)
+    assert delivered == want
+
+
 # ---------------------------------------------------------------- overrides --
 
 
 def test_overrides_change_params():
     res = engine.run_scenario(tiny_world(), seed=0, overrides={"blocks": 2})
     assert len(res.mined) == 2
+
+
+@pytest.mark.parametrize("overrides, error", [
+    ({"blcoks": 5}, r"^params\.blcoks: unknown parameter"),
+    ({"connections": [["n1", "nope"]]}, r"^params\.connections\[0\]: unknown node 'nope'"),
+], ids=["unknown-key", "unknown-node"])
+def test_overrides_are_checked_like_set(overrides, error):
+    with pytest.raises(tp.ScenarioError, match=error):
+        engine.run_scenario(tiny_world(), seed=0, overrides=overrides)
+
+
+def test_delay_attacker_takes_the_attack_then_the_params():
+    topo = tp.load_topology(SCENARIOS / "delaynode.scn")  # its attack sets restore_margin 1000
+
+    def attacker(overrides, attack=topo.attack):
+        sim = engine.Simulation(topo, seed=0, overrides=overrides, attack=attack)
+        sim._install_attack()
+        return sim.delay_attacker
+
+    own = attacker({"restore_margin": 50.0})
+    assert (own.victim, own.restore_margin, own.target_count) == ("victim", 1000.0, 8)
+    bare = copy.deepcopy(topo.attack)
+    del bare["params"]["restore_margin"]
+    assert attacker({"restore_margin": 50.0}, bare).restore_margin == 50.0
+    assert attacker({}, bare).restore_margin == tp.SimParams().restore_margin
+    assert attacker({"outgoing_target": 4}).target_count == 4
 
 
 # ---------------------------------------------------------------- churn --

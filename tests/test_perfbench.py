@@ -19,3 +19,13 @@ def test_traced_benchmark_run_is_correct(workload):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True, proc.stderr
+
+
+def test_coalition_benchmark_bytes_equal_the_cli():
+    # the self-test runs `btcrs multihoming-sweep` and compares its bytes with the benchmark's
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--self-test", "--workload", "coalition"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "self-test passed", proc.stdout

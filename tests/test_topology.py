@@ -619,10 +619,15 @@ def test_coverage_equals_ipaddress_reference(data):
 # -- classification and interception -------------------------------------------
 
 
+def route(topo, src, dst):
+    """The ASes that carry node src's traffic to node dst, endpoints included."""
+    return topo.forwarding.path(topo.nodes[src].home_as, topo.nodes[dst].home_as)
+
+
 def test_intercepting_ases_includes_endpoints():
     topo = three_as_topology()
-    assert tp.intercepting_ases(topo, "v", "o") == {1, 9, 2}
-    assert tp.intercepting_ases(topo, "v", "w") == {1}
+    assert route(topo, "v", "o") == [1, 9, 2]
+    assert route(topo, "v", "w") == [1]
 
 
 def test_classify_stealth_kinds():
@@ -660,6 +665,6 @@ def test_paperlike_fixture_shape():
     assert {topo.nodes[g].home_as for g in red.gateways} == {4, 5, 6}
     assert set(topo.pools["green"].gateways) == {"D", "E"}
     # AS3 sits on the path from J toward A and B, but not from J toward H
-    assert 3 in tp.intercepting_ases(topo, "J", "A")
-    assert 3 in tp.intercepting_ases(topo, "J", "B")
-    assert 3 not in tp.intercepting_ases(topo, "J", "H")
+    assert 3 in route(topo, "J", "A")
+    assert 3 in route(topo, "J", "B")
+    assert 3 not in route(topo, "J", "H")
