@@ -122,34 +122,30 @@ class Simulation:
             self._execute(b, acts)
 
     def _dial(self, nid: str, exclude: frozenset = frozenset()) -> bool:
+        """Connect `nid` to an eligible node drawn uniformly at random; False if there is none.
+
+        Eligible is: not `nid`, a peer, in `exclude` or in a /16 group `nid` dials into; fewer than
+        `max_connections` peers; an AS in `nid`'s `ForwardingTable.two_way`; and no `dial_veto`.  Both loops
+        write that test out, in that order, so only the veto costs a call; it is pure, so asking it last
+        keeps every verdict.  At most 24 uniform draws, then a scan of every node for what they missed.
+        """
         nodes, ip16, home_as = self.nodes, self._ip16, self._home_as
-        veto, cap, has_path = self.dial_veto, self.params.max_connections, self.topo.forwarding.has_path
+        veto, cap = self.dial_veto, self.params.max_connections
         peers = nodes[nid].peers
-        taken_groups = {ip16[p] for p in nodes[nid].outgoing}
-        own_as = home_as[nid]
-
-        def eligible(cand: str) -> bool:
-            # cheapest test first; the veto is pure, so asking it last keeps every verdict
-            if cand == nid or cand in peers or cand in exclude or ip16[cand] in taken_groups:
-                return False
-            if len(nodes[cand].peers) >= cap:
-                return False
-            cand_as = home_as[cand]
-            if cand_as != own_as and not (has_path(own_as, cand_as) and has_path(cand_as, own_as)):
-                return False
-            return veto is None or not veto(nid, cand)
-
-        # rejection sampling stays uniform over the eligible set and avoids
-        # scanning every node on the common path; the scan is the slow proof
-        # that nothing (or only a rare candidate) is left
+        taken = {ip16[p] for p in nodes[nid].outgoing}
+        reach = self.topo.forwarding.two_way(home_as[nid])
         order = self._node_order
         randrange, n = self.rng_net.randrange, len(order)
         for _ in range(24):
             cand = order[randrange(n)]
-            if eligible(cand):
+            if (cand != nid and cand not in peers and cand not in exclude and ip16[cand] not in taken
+                    and len(nodes[cand].peers) < cap and home_as[cand] in reach
+                    and (veto is None or not veto(nid, cand))):
                 self._connect(nid, cand)
                 return True
-        candidates = [c for c in order if eligible(c)]
+        candidates = [cand for cand in order if (cand != nid and cand not in peers and cand not in exclude
+                      and ip16[cand] not in taken and len(nodes[cand].peers) < cap and home_as[cand] in reach
+                      and (veto is None or not veto(nid, cand)))]
         if not candidates:
             return False
         self._connect(nid, self.rng_net.choice(candidates))

@@ -73,6 +73,7 @@ class ForwardingTable:
         # dist[dst][src] -> inter-AS hops of that route, with dst itself at 0
         self._next_hop = next_hop
         self._dist = dist
+        self._two_way: dict[int, frozenset[int]] = {}  # as_id -> two_way(as_id)
 
     def path(self, src: int, dst: int) -> list[int] | None:
         if src == dst:
@@ -94,8 +95,11 @@ class ForwardingTable:
         """Inter-AS hops of the route from src to dst (0 inside one AS), or None if there is none."""
         return self._dist[dst].get(src)
 
-    def has_path(self, src: int, dst: int) -> bool:
-        return src in self._dist[dst]
+    def two_way(self, as_id: int) -> frozenset[int]:
+        """The ASes with a route both to and from `as_id`, `as_id` itself included; built on first ask."""
+        if as_id not in self._two_way:
+            self._two_way[as_id] = frozenset(b for b in self._dist[as_id] if as_id in self._dist[b])
+        return self._two_way[as_id]
 
 
 def compute_forwarding(graph: AsGraph) -> ForwardingTable:

@@ -145,7 +145,8 @@ class HeapSimulation(engine.Simulation):
 
     def _routable(self, a, b):
         pa, pb = self.topo.nodes[a].home_as, self.topo.nodes[b].home_as
-        return pa == pb or (self.topo.forwarding.has_path(pa, pb) and self.topo.forwarding.has_path(pb, pa))
+        return pa == pb or (self.topo.forwarding.hops(pa, pb) is not None
+                            and self.topo.forwarding.hops(pb, pa) is not None)
 
     def _dial(self, nid, exclude=frozenset()):
         """The veto first, then the other tests; one `randrange` per attempt, then the scan."""
@@ -240,6 +241,9 @@ def _run_state(cls, topo, seed, inject=None):
         "nodes": {nid: (n.chain.arrival, n.pending, n.advertisers, set(n.peers), n.outgoing)
                   for nid, n in res.nodes.items()},
         "pushed": pushed,
+        # the draw streams: a kernel that consumes a draw the reference does not differs here
+        "rng_net": sim.rng_net.getstate(),
+        "rng_mine": sim.rng_mine.getstate(),
     }
 
 
@@ -609,6 +613,55 @@ def test_random_dialing_avoids_own_slash16_group():
     for nid, node in res.nodes.items():
         groups = [ip_group[p] for p in node.outgoing]
         assert len(groups) == len(set(groups)), f"{nid} dialed twice into one /16"
+
+
+def _next_draws(sim):
+    """The nodes the next 24 dial attempts of `sim` draw, and `rng_net`'s state after them, read from a copy."""
+    probe = random.Random()
+    probe.setstate(sim.rng_net.getstate())
+    order = sim._node_order
+    return {order[probe.randrange(len(order))] for _ in range(24)}, probe.getstate()
+
+
+def _counted_scans(sim):
+    """Wrap `sim.rng_net.choice`, the scan's one draw; returns the list each scan picks from, in order."""
+    scans, choice = [], sim.rng_net.choice
+    sim.rng_net.choice = lambda seq: scans.append(list(seq)) or choice(seq)
+    return scans
+
+
+@pytest.mark.parametrize("refusal", ["veto", "cap"])
+def test_dial_scan_after_24_misses_equals_heap_reference(refusal):
+    # every node the 24 draws hit is refused, so the pick falls to the scan
+    topo = tp.load_topology(tiny_world(n=40, params={"max_connections": 1}))
+    got = {}
+    for cls in (engine.Simulation, HeapSimulation):
+        sim = cls(topo, seed=0)
+        drawn, _ = _next_draws(sim)
+        if refusal == "veto":
+            sim.dial_veto = lambda a, b: b in drawn
+        else:  # each drawn node is full: its one peer is n40
+            for d in sorted(drawn - {"n1", "n40"}):
+                sim._connect("n40", d, dialed=False)
+        scans = _counted_scans(sim)
+        assert sim._dial("n1")
+        (picked,) = sim.nodes["n1"].outgoing
+        assert picked not in drawn and len(scans) == 1 and picked in scans[0]
+        got[cls] = (picked, scans, sim.rng_net.getstate(), sim.dials)
+    assert got[engine.Simulation] == got[HeapSimulation]
+
+
+def test_dial_with_nothing_eligible_draws_24_times_then_gives_up():
+    sim = engine.Simulation(tp.load_topology(tiny_world(n=12)), seed=0)
+    asked = []
+    sim.dial_veto = lambda a, b: asked.append(b) or True
+    _, after_24 = _next_draws(sim)
+    scans = _counted_scans(sim)
+    assert not sim._dial("n1")
+    assert sim.rng_net.getstate() == after_24
+    others = [c for c in sim._node_order if c != "n1"]
+    assert asked[-len(others):] == others  # the scan asked about every other node, in order
+    assert (scans, sim.dials, sim.nodes["n1"].peers) == ([], 0, {})
 
 
 def test_pool_gateways_form_a_clique():

@@ -94,7 +94,10 @@ def assert_tables_match(graph):
                 assert got is None, f"path({src},{dst}): got {got}, oracle says unreachable"
             # the hop count behind every link delay is the path's length, with no route as None
             assert fwd.hops(src, dst) == (None if got is None else len(got) - 1), (src, dst)
-            assert fwd.has_path(src, dst) == (got is not None), (src, dst)
+    # the ASes a dial may reach: routes both ways, the AS itself included
+    for a in graph.as_ids:
+        assert fwd.two_way(a) == {b for b in graph.as_ids
+                                  if fwd.hops(a, b) is not None and fwd.hops(b, a) is not None}, a
 
 
 def test_diamond_prefers_lower_next_hop():
