@@ -42,6 +42,7 @@ class PartitionAttacker:
         self.forwarded = 0
         self.dropped = 0
         self.leak_events: list[tuple[float, str]] = []
+        self.lifted_at: float | None = None  # once set, the report's outcome is as of this time
 
     @property
     def monitored(self) -> frozenset:
@@ -95,6 +96,11 @@ class PartitionAttacker:
         self.unresponsive = {
             n for n in self.monitored if now - self.last_seen[n] >= self.threshold
         }
+
+    def lift(self, now: float) -> None:
+        """Take the final sweep as the hijack ends; the liveness clocks stop with the diversion."""
+        self.sweep(now)
+        self.lifted_at = now
 
     def report(self) -> dict:
         """The run's partition outcome, as the `partition` object of a run report."""

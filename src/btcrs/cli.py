@@ -66,10 +66,14 @@ def _parse_overrides(pairs: list[str]) -> dict:
 
 
 def _load_topology(raw: dict, overrides: dict) -> tp.Topology:
-    """Load a scenario and check the `--set` overrides that need its node ids."""
+    """Load a scenario and check the `--set` overrides with the engine's own check.
+
+    `_parse_overrides` has rejected every per-key problem, so only a
+    connection naming an unknown node, or a node to itself, fails here.
+    """
     topo = tp.load_topology(raw)
     try:
-        tp.check_connections(overrides.get("connections"), topo.nodes)
+        tp.check_params(overrides, topo.nodes)
     except tp.ScenarioError as exc:
         raise _CliError(USAGE_ERR, f"bad --set connections: {exc}") from None
     return topo
@@ -220,12 +224,13 @@ def build_parser() -> _Parser:
     p = _Parser(prog="btcrs", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, scenario_required=True):
+    def common(sp, scenario_required=True, simulates=True):
         sp.add_argument("--scenario", required=scenario_required, help="scenario JSON file")
-        sp.add_argument("--seeds", default="0..19", help="seed range A..B (inclusive) or single seed")
         sp.add_argument("--out", default=None, help="output file (default: stdout)")
-        sp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                        help="override a simulation parameter")
+        if simulates:  # only a subcommand that runs seeds reads these two
+            sp.add_argument("--seeds", default="0..19", help="seed range A..B (inclusive) or single seed")
+            sp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                            help="override a simulation parameter")
 
     sp = sub.add_parser("run", help="simulate a scenario over a seed range")
     common(sp)
@@ -233,7 +238,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_run)
 
     sp = sub.add_parser("plan-partition", help="enumerate isolatable pool partitions by hash power")
-    common(sp)
+    common(sp, simulates=False)
     sp.add_argument("--power", required=True, metavar="LO:HI", help="hash-power window, e.g. 0.45:0.55")
     sp.set_defaults(func=_cmd_plan_partition)
 

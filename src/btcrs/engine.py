@@ -233,7 +233,7 @@ class Simulation:
 
             def deactivate(sim: "Simulation") -> None:
                 if sim.partition_attacker is not None:
-                    sim.partition_attacker.sweep(sim.now)
+                    sim.partition_attacker.lift(sim.now)
                 sim._coverage = None
 
             self.schedule_control(active_at, activate)
@@ -457,7 +457,7 @@ class Simulation:
         self._setup_connections()
         self._schedule_initial()
         self._run_queue()
-        if self.partition_attacker is not None:
+        if self.partition_attacker is not None and self.partition_attacker.lifted_at is None:
             self.partition_attacker.sweep(self.now)
         return self
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import statistics
 from dataclasses import dataclass, field
 
@@ -164,11 +165,13 @@ def summarize(run) -> MetricsReport:
     partition = None
     if run.partition_attacker is not None:
         partition = run.partition_attacker.report()
+        lifted = run.partition_attacker.lifted_at
+        cutoff = math.inf if lifted is None else lifted  # after a lift, outside blocks flow in freely
         partition["external_blocks_in_isolated"] = sum(
             1
             for nid in partition["isolated"]
-            for h in run.nodes[nid].chain.arrival
-            if run.partition_attacker.is_external(h)
+            for h, t in run.nodes[nid].chain.arrival.items()
+            if t <= cutoff and run.partition_attacker.is_external(h)
         )
 
     p50, flagged = p50_propagation(run)

@@ -408,6 +408,9 @@ def param_problem(key: str, value) -> str | None:
             and 0 <= row[0] <= 1 and row[1] > 0 for row in table
         ):
             return f"lifetime_table must be a list of [p in [0,1], mean > 0], got {table!r}"
+        total = sum(p for p, _ in table)
+        if table and abs(total - 1) > 1e-9:  # an empty table means the default
+            return f"lifetime_table probabilities must sum to 1, got {total!r}"
     if key == "connections" and value is not None:
         for pair in value:
             if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(n, str) for n in pair)):
@@ -415,24 +418,19 @@ def param_problem(key: str, value) -> str | None:
     return None
 
 
-def check_connections(connections: list | None, node_ids) -> None:
-    """Raise ScenarioError unless each explicit connection joins two distinct known nodes.
-
-    `connections` has passed `param_problem`, which checks its shape; the
-    node ids are known only once a scenario has loaded.
-    """
-    for i, (a, b) in enumerate(connections or []):
-        for end in (a, b):
-            _require(end in node_ids, f"params.connections[{i}]", f"unknown node {end!r}")
-        _require(a != b, f"params.connections[{i}]", "a node cannot connect to itself")
-
-
 def check_params(params: dict, node_ids) -> None:
-    """Raise ScenarioError naming `params.<key>` unless each entry of `params` is a valid simulation parameter."""
+    """Raise ScenarioError naming `params.<key>` unless each entry of `params` is a valid simulation parameter.
+
+    `param_problem` checks each value on its own; each explicit connection
+    must also join two distinct nodes of `node_ids`.
+    """
     for key, value in params.items():
         problem = param_problem(key, value)
         _require(problem is None, f"params.{key}", problem)
-    check_connections(params.get("connections"), node_ids)
+    for i, (a, b) in enumerate(params.get("connections") or []):
+        for end in (a, b):
+            _require(end in node_ids, f"params.connections[{i}]", f"unknown node {end!r}")
+        _require(a != b, f"params.connections[{i}]", "a node cannot connect to itself")
 
 
 def load_topology(path: str | Path | dict) -> Topology:

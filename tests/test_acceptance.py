@@ -15,8 +15,9 @@ from time import perf_counter
 
 from conftest import record_verdict
 from test_planner import four_pool_world, oracle_min_cover_size
+import worlds
 
-from btcrs import engine, metrics, planner, synth, wire
+from btcrs import cli, engine, metrics, planner, synth, wire
 from btcrs import topology as tp
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -54,7 +55,7 @@ def test_criterion_2_partition_matches_planner():
     t0 = perf_counter()
     matches, external_hits = 0, 0
     for case in range(200):
-        raw = synth.random_partition_case(seed=case)
+        raw = worlds.random_partition_case(seed=case)
         topo = tp.load_topology(raw)
         targets = set(raw["attack"]["target"])
         expect = planner.maximal_isolatable(topo, targets)
@@ -74,18 +75,26 @@ def test_criterion_2_partition_matches_planner():
 # -- 3. delay attack: interception ordering and bounds ------------------------------
 
 
+def seed_means(cells, value):
+    """Mean of `value(report)` over seeds 0..19 for each (key, scenario) cell; all runs share one pool."""
+    tasks = [(scn, seed, None) for _, scn in cells for seed in range(20)]
+    vals = [value(rep) for rep in engine._map_tasks(cli._report_job, tasks)]
+    return {key: statistics.mean(vals[20 * i : 20 * (i + 1)]) for i, (key, _) in enumerate(cells)}
+
+
 def test_criterion_3_delay_interception_bands():
     raw = load("delaynode.scn")
-    means = {}
+    cells = []
     for f in (0.0, 0.5, 0.8, 1.0):
         scn = copy.deepcopy(raw)
         scn["attack"]["params"]["interception"] = f
-        vals = []
-        for seed in range(20):
-            rep = metrics.summarize(engine.run_scenario(scn, seed))
-            (val,) = rep.uninformed.values()
-            vals.append(val)
-        means[f] = statistics.mean(vals)
+        cells.append((f, scn))
+
+    def only_uninformed(rep):
+        (val,) = rep.uninformed.values()
+        return val
+
+    means = seed_means(cells, only_uninformed)
     ordered = means[0.0] < means[0.5] < means[0.8] < means[1.0]
     ok = (
         ordered
@@ -174,14 +183,13 @@ def test_criterion_4_exact_timeout_mechanics():
 def test_criterion_5_multihoming_ordering():
     raw = load("paperlike.scn")
     degrees = (1, 3, 5, 7)
-    means = {}
+    cells = []
     for d in degrees:
         scn = synth.adjust_pool_degree(raw, d)
         scn["attack"] = {"kind": "delay", "target": [],
                          "params": {"coalition": "US", "interception": 1.0}}
-        vals = [metrics.summarize(engine.run_scenario(scn, seed)).orphan_rate
-                for seed in range(20)]
-        means[d] = statistics.mean(vals)
+        cells.append((d, scn))
+    means = seed_means(cells, lambda rep: rep.orphan_rate)
     ordered = all(means[a] >= means[b] - 1e-12 for a, b in zip(degrees, degrees[1:]))
     ratio = means[1] / means[7] if means[7] else float("inf")
     ok = ordered and ratio >= 3.0
@@ -264,7 +272,7 @@ def test_criterion_8_planner_matches_exhaustive_search():
     exact_cases, case_seed = 0, 0
     while exact_cases < 100:
         case_seed += 1
-        raw = synth.random_scenario(5000 + case_seed, max_as=6, max_nodes=12, max_pools=2)
+        raw = worlds.random_scenario(5000 + case_seed, max_as=6, max_nodes=12, max_pools=2)
         topo = tp.load_topology(raw)
         ids = sorted(topo.nodes)
         partition = planner.maximal_isolatable(

@@ -55,7 +55,8 @@ def test_unknown_override_is_usage_error(capsys):
 @pytest.mark.parametrize("key,value", [("block_interval_mean", 0), ("per_hop_delay", -3),
                                        ("base_delay", -0.5), ("base_delay", "NaN"),
                                        ("churn", 5), ("connections", 5), ("blocks", "x"),
-                                       ("connections", [["victim", "nope"]])])
+                                       ("connections", [["victim", "nope"]]),
+                                       ("churn", {"lifetime_table": [[0.1, 10.0]]})])
 def test_out_of_range_scenario_param_is_scenario_error(tmp_path, capsys, key, value):
     raw = json.loads(Path(PAPERLIKE).read_text())
     raw["params"][key] = float(value) if value == "NaN" else value
@@ -67,10 +68,16 @@ def test_out_of_range_scenario_param_is_scenario_error(tmp_path, capsys, key, va
 
 @pytest.mark.parametrize("pair", ["block_interval_mean=0", "per_hop_delay=-3", "base_delay=fast",
                                   "churn=5", "connections=5", "blocks=x",
-                                  'connections=[["A","nope"]]'])
+                                  'connections=[["A","nope"]]', 'churn={"lifetime_table":[[0.1,10.0]]}'])
 def test_out_of_range_override_is_usage_error(capsys, pair):
     assert run_cli("run", "--scenario", PAPERLIKE, "--seeds", "0", "--set", pair) == 2
     assert f"params.{pair.split('=')[0]}" in capsys.readouterr().err
+
+
+def test_plan_partition_takes_no_seeds_or_overrides():
+    # the planner runs no simulation, so a seed range or override would be ignored
+    for extra in (("--set", "warp_speed=9"), ("--seeds", "99"), ("--set", "blocks=3")):
+        assert run_cli("plan-partition", "--scenario", PAPERLIKE, "--power", "0.45:0.55", *extra) == 2
 
 
 def test_bad_power_window_is_usage_error():

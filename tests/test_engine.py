@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import worlds
+
 from btcrs import engine, metrics, synth, wire
 from btcrs import protocol as pr
 from btcrs import topology as tp
@@ -22,23 +24,10 @@ def paperlike():
 
 
 def tiny_world(n=6, connections=None, params=None):
-    """n nodes in n ASes hanging off one hub, one /16 each."""
-    doc = {
-        "ases": [{"id": a, "country": ""} for a in range(1, n + 1)] + [{"id": 99, "country": ""}],
-        "links": [{"a": a, "b": 99, "rel": "c2p"} for a in range(1, n + 1)],
-        "prefixes": [{"base": f"10.{a}.0.0", "len": 16, "origin_as": a} for a in range(1, n + 1)],
-        "nodes": [
-            {"id": f"n{a}", "ip": f"10.{a}.0.1", "prefix": f"10.{a}.0.0/16", "as": a}
-            for a in range(1, n + 1)
-        ],
-        "pools": [],
-        "params": {"blocks": 5, "block_interval_mean": 100.0, "drain_time": 600.0},
-    }
-    if connections is not None:
-        doc["params"]["connections"] = connections
-    if params:
-        doc["params"].update(params)
-    return doc
+    """n nodes n1..n<n>, each in its own stub AS of the hub world."""
+    extra = {} if connections is None else {"connections": connections}
+    base = {"blocks": 5, "block_interval_mean": 100.0, "drain_time": 600.0}
+    return worlds.hub_world({f"n{a}": a for a in range(1, n + 1)}, {**base, **extra, **(params or {})})
 
 
 # ---------------------------------------------------------------- determinism --
@@ -463,7 +452,7 @@ def tx_worlds(draw, kind):
         raw["attack"]["params"].update(interception=draw(st.sampled_from([0.5, 1.0])),
                                        direction=draw(st.sampled_from(["outgoing", "incoming"])))
     elif kind == "hijack":
-        raw = synth.random_partition_case(draw(st.integers(0, 199)))
+        raw = worlds.random_partition_case(draw(st.integers(0, 199)))
     else:
         n_as = draw(st.sampled_from([4, 6, 8]))
         raw = synth.two_halves(n_nodes=draw(st.integers(n_as, 60)), n_as=n_as, seed=draw(st.integers(0, 9)))
@@ -591,6 +580,24 @@ def test_hijack_lifted_before_it_takes_effect_lifts_as_it_takes_effect():
     assert early.partition_attacker.report() == on_time.partition_attacker.report()
     assert (early.partition_attacker.forwarded, early.partition_attacker.dropped) == (0, 0)
     assert [b.hash for b in early.mined] == [b.hash for b in on_time.mined]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_hijack_with_an_end_reports_its_outcome_as_of_the_lift(seed):
+    # after the lift the liveness clocks stop and outside blocks flow in freely,
+    # so the outcome is the one a run cut off at the lift reports
+    raw = synth.two_halves(n_nodes=60, n_as=6, seed=0)
+    raw["attack"] = {"kind": "partition", "target": raw["attack"]["target"],
+                     "params": {"attacker_as": 8, "start": 0.0}}
+    raw["params"].update(blocks=8, block_interval_mean=300.0, drain_time=1500.0, convergence_delay=0.0)
+    lift = 20 * engine.SWEEP_INTERVAL  # a sweep time, so the cut-off run sweeps there too
+    cut = metrics.summarize(engine.run_scenario(raw, seed, end_time=lift)).partition
+    raw["attack"]["params"]["end"] = lift
+    run = engine.run_scenario(raw, seed)
+    assert run.partition_attacker.lifted_at == lift
+    assert run.now > lift + run.params.threshold
+    assert metrics.summarize(run).partition == cut
+    assert cut["isolated"] and cut["external_blocks_in_isolated"] == 0
 
 
 # ---------------------------------------------------------------- connections --

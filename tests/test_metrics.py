@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import worlds
+
 from btcrs import engine, metrics
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -14,24 +16,14 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 def mesh3(base=0.1, hop=0.4):
     """Three fully meshed nodes, one per stub AS behind a common hub."""
-    return {
-        "ases": [{"id": a, "country": ""} for a in (1, 2, 3, 99)],
-        "links": [{"a": a, "b": 99, "rel": "c2p"} for a in (1, 2, 3)],
-        "prefixes": [{"base": f"10.{a}.0.0", "len": 16, "origin_as": a} for a in (1, 2, 3)],
-        "nodes": [
-            {"id": f"n{a}", "ip": f"10.{a}.0.1", "prefix": f"10.{a}.0.0/16", "as": a}
-            for a in (1, 2, 3)
-        ],
-        "pools": [],
-        "params": {
-            "blocks": 8,
-            "block_interval_mean": 50.0,
-            "base_delay": base,
-            "per_hop_delay": hop,
-            "drain_time": 300.0,
-            "connections": [["n1", "n2"], ["n1", "n3"], ["n2", "n3"]],
-        },
-    }
+    return worlds.hub_world({"n1": 1, "n2": 2, "n3": 3}, {
+        "blocks": 8,
+        "block_interval_mean": 50.0,
+        "base_delay": base,
+        "per_hop_delay": hop,
+        "drain_time": 300.0,
+        "connections": [["n1", "n2"], ["n1", "n3"], ["n2", "n3"]],
+    })
 
 
 # ---------------------------------------------------------------- uninformed --

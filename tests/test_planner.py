@@ -13,30 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btcrs import planner, synth
+import worlds
+
+from btcrs import planner
 from btcrs import topology as tp
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def isolated_world(node_ases, pools=None):
-    """One node per entry of node_ases; each AS is its own /16."""
-    as_ids = sorted(set(node_ases.values()))
-    doc = {
-        "ases": [{"id": a, "country": ""} for a in as_ids + [99]],
-        "links": [{"a": a, "b": 99, "rel": "c2p"} for a in as_ids],
-        "prefixes": [{"base": f"10.{a}.0.0", "len": 16, "origin_as": a} for a in as_ids],
-        "nodes": [],
-        "pools": pools or [],
-        "params": {},
-    }
-    counter = {}
-    for node, a in node_ases.items():
-        counter[a] = counter.get(a, 0) + 1
-        doc["nodes"].append(
-            {"id": node, "ip": f"10.{a}.0.{counter[a]}", "prefix": f"10.{a}.0.0/16", "as": a}
-        )
-    return tp.load_topology(doc)
+    """The loaded hub world of `node_ases`."""
+    return tp.load_topology(worlds.hub_world(node_ases, pools=pools))
 
 
 def test_shared_as_makes_node_a_leakage_liability():
@@ -170,7 +157,7 @@ def brute_force_isolatable(topo, partition):
 def test_maximal_isolatable_matches_exhaustive_search():
     rng = random.Random(17)
     for case in range(25):
-        raw = synth.random_scenario(case, max_as=5, max_nodes=9, max_pools=2)
+        raw = worlds.random_scenario(case, max_as=5, max_nodes=9, max_pools=2)
         topo = tp.load_topology(raw)
         ids = sorted(topo.nodes)
         partition = set(rng.sample(ids, rng.randint(1, min(8, len(ids)))))
@@ -262,7 +249,7 @@ def test_min_prefix_count_matches_branch_and_bound():
     rng = random.Random(99)
     checked = 0
     for case in range(40):
-        raw = synth.random_scenario(1000 + case, max_as=6, max_nodes=12, max_pools=2)
+        raw = worlds.random_scenario(1000 + case, max_as=6, max_nodes=12, max_pools=2)
         topo = tp.load_topology(raw)
         ids = sorted(topo.nodes)
         partition = set(rng.sample(ids, rng.randint(1, len(ids))))

@@ -7,6 +7,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import worlds
+
 from btcrs import engine, metrics, synth
 from btcrs import topology as tp
 
@@ -58,7 +60,7 @@ def test_entry_schemas_match_the_key_table(scenario_schema):
 
 
 def test_generated_scenarios_validate(scenario_schema):
-    jsonschema.validate(synth.random_partition_case(seed=3), scenario_schema)
+    jsonschema.validate(worlds.random_partition_case(seed=3), scenario_schema)
     jsonschema.validate(synth.two_halves(n_nodes=60, n_as=6, seed=1), scenario_schema)
     jsonschema.validate(synth.delay_node_scenario(), scenario_schema)
 
@@ -70,7 +72,7 @@ def test_run_report_validates(report_schema):
 
 
 def test_partition_report_validates(report_schema):
-    raw = synth.random_partition_case(seed=3)
+    raw = worlds.random_partition_case(seed=3)
     rep = metrics.summarize(engine.run_scenario(raw, seed=3))
     assert rep.partition is not None
     jsonschema.validate(json.loads(metrics.emit(rep)), report_schema)

@@ -286,12 +286,21 @@ def test_load_minimal_scenario():
         # a delay attack runs the whole simulation, so a window would be silently ignored
         ({"attack": {"kind": "delay", "target": ["n1"], "params": {"start": 300}}}, "attack.params.start"),
         ({"attack": {"kind": "delay", "target": ["n1"], "params": {"end": 300}}}, "attack.params.end"),
+        # the missing 0.9 would go silently to the last row
+        ({"params": {"churn": {"lifetime_table": [[0.1, 10.0]]}}},
+         "params.churn: lifetime_table probabilities must sum to 1, got 0.1"),
     ],
 )
 def test_scenario_validation_errors(mutation, fragment):
     with pytest.raises(tp.ScenarioError) as err:
         tp.load_topology(minimal_scenario(**mutation))
     assert fragment in str(err.value)
+
+
+def test_lifetime_table_may_miss_one_by_rounding_or_be_empty():
+    assert sum([0.1] * 10) != 1.0
+    for table in ([[0.1, 600.0]] * 10, []):
+        tp.load_topology(minimal_scenario(params={"churn": {"enabled": True, "lifetime_table": table}}))
 
 
 @pytest.mark.parametrize(
