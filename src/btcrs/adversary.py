@@ -3,7 +3,9 @@
 The partition attacker sits on the diverted routes and forwards only frames
 that travel between partition members, none of which mention a block mined
 outside.  A member caught relaying outside information is `leaked` and cut
-off; a member not heard from for `threshold` seconds is `unresponsive`.
+off; a member not heard from for `threshold` seconds at the last liveness
+sweep is `unresponsive`.  A sweep only records its time: the unresponsive
+set is derived from the liveness clocks when it is read.
 
 The delay attacker runs a `topology.Attack` of kind `delay` or `coalition`.
 It rewrites block requests in flight so the requester's peer serves a block
@@ -36,7 +38,7 @@ class PartitionAttacker:
         self.threshold = threshold
         self.leaked: set[str] = set()
         self._monitored = self.partition  # P \ L, recomputed only when a member leaks
-        self.unresponsive: set[str] = set()
+        self.swept_at: float | None = None  # the time of the last liveness sweep
         self.last_seen: dict[str, float] = {n: now for n in self.partition}
         self._external: set[bytes] = set()
         self.forwarded = 0
@@ -48,6 +50,22 @@ class PartitionAttacker:
     def monitored(self) -> frozenset:
         """P \\ L: members still being kept inside."""
         return self._monitored
+
+    @property
+    def unresponsive(self) -> set[str]:
+        """Members of P \\ L not heard from for `threshold` seconds at the last sweep; empty before one.
+
+        This equals the set an eager sweep would build and every later
+        `tick` would prune, but for one case: with `threshold` 0, a member
+        heard at the exact time of the sweep, after it ran, stays in the set.
+        The engine never reads the set in that state: its last sweep is the
+        lift or the end of the run, and no tick follows it.
+        """
+        swept_at = self.swept_at
+        if swept_at is None:
+            return set()
+        last_seen, threshold = self.last_seen, self.threshold
+        return {n for n in self._monitored if swept_at - last_seen[n] >= threshold}
 
     def register_block(self, block_hash: bytes, miners: set) -> None:
         """Record a block's origin the moment it is mined.
@@ -77,14 +95,12 @@ class PartitionAttacker:
         """Police one diverted frame; True means deliver it."""
         if src in self.partition:
             self.last_seen[src] = now
-            self.unresponsive.discard(src)
         if src not in self.monitored or dst not in self.partition:
             self.dropped += 1
             return False
         if self._mentions_external(msg):
             self.leaked.add(src)
             self._monitored = self.partition - self.leaked
-            self.unresponsive.discard(src)
             self.leak_events.append((now, src))
             self.dropped += 1
             return False
@@ -92,10 +108,8 @@ class PartitionAttacker:
         return True
 
     def sweep(self, now: float) -> None:
-        """Refresh the unresponsive set from the liveness clocks."""
-        self.unresponsive = {
-            n for n in self.monitored if now - self.last_seen[n] >= self.threshold
-        }
+        """Take a liveness sweep at `now`: `unresponsive` is derived as of the last sweep."""
+        self.swept_at = now
 
     def lift(self, now: float) -> None:
         """Take the final sweep as the hijack ends; the liveness clocks stop with the diversion."""
@@ -104,11 +118,12 @@ class PartitionAttacker:
 
     def report(self) -> dict:
         """The run's partition outcome, as the `partition` object of a run report."""
+        unresponsive = self.unresponsive
         return {
             "partition": sorted(self.partition),
             "leaked": sorted(self.leaked),
-            "unresponsive": sorted(self.unresponsive),
-            "isolated": sorted(self.partition - self.leaked - self.unresponsive),
+            "unresponsive": sorted(unresponsive),
+            "isolated": sorted(self.partition - self.leaked - unresponsive),
             "forwarded": self.forwarded,
             "dropped": self.dropped,
             "leak_events": [[t, n] for t, n in self.leak_events],

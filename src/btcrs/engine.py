@@ -13,9 +13,12 @@ time is queued.
 Latency between two nodes is `base_delay` plus `per_hop_delay` for every
 inter-AS hop of the policy-compliant route (`ForwardingTable.hops`), which
 may differ by direction; members of the same pool fabric exchange messages
-instantly and invisibly to any on-path attacker.  A connection's delay is
-computed on its first send and kept, per direction, as the value of
-`Node.peers` until it closes.
+instantly and invisibly to any on-path attacker.  Each direction of a
+connection keeps one `Link` record as its value in `Node.peers`: the delay,
+whether the hijack diverts it and whether the delay attacker intercepts it.
+The record is decided on the link's first send and kept until a connect
+resets it; a hijack's activation and lift reset every live link, since they
+change the diversion verdict.
 
 Background transaction chatter runs only when the attack reads it:
 a `delay` attack or a hijack partition (`topology.Attack.reads_tx`).
@@ -28,10 +31,12 @@ must be added to `Attack.reads_tx`.
 from __future__ import annotations
 
 import concurrent.futures
+import gc
 import heapq
 import os
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import planner
 from . import protocol as pr
@@ -40,6 +45,17 @@ from . import wire
 from .adversary import DelayAttacker, PartitionAttacker
 
 SWEEP_INTERVAL = 60.0
+
+
+class Link(NamedTuple):
+    """One direction of a connection, as the engine decided it on the first send."""
+
+    delay: float  # one-way seconds
+    diverted: bool  # the hijack's partition attacker polices it
+    intercepted: bool  # the delay attacker tampers with it
+
+
+FABRIC_LINK = Link(0.0, False, False)
 
 
 def _slash16(ip: str) -> str:
@@ -90,6 +106,7 @@ class Simulation:
         self.partition_attacker: PartitionAttacker | None = None
         self._coverage: tp.Coverage | None = None
         self.delay_attacker: DelayAttacker | None = None
+        self._links: dict[tuple, Link] = {}  # each distinct link record, shared by every link it describes
         self._regular = sorted(topo.regular_ids)
         self._pools_sorted = sorted(topo.pools.values(), key=lambda p: p.pool_id)
 
@@ -184,6 +201,28 @@ class Simulation:
                     if not self._dial(nid):
                         break
 
+    def _link(self, src: str, dst: str) -> Link:
+        """The record of the link src -> dst as it stands now; a fabric link is instant and unseen."""
+        if dst in self._fabric.get(src, ()):
+            return FABRIC_LINK
+        src_as = self._home_as[src]
+        hops = self.topo.forwarding.hops(src_as, self._home_as[dst]) or 0  # unroutable: base_delay alone
+        coverage, delayer = self._coverage, self.delay_attacker
+        key = (self.params.base_delay + self.params.per_hop_delay * hops,
+               coverage is not None and coverage.diverted(dst, src_as),
+               delayer is not None and delayer.intercepts(src, dst))
+        link = self._links.get(key)
+        if link is None:  # a Link is built once per distinct record, not once per link
+            link = self._links[key] = Link(*key)
+        return link
+
+    def _forget_links(self) -> None:
+        """Reset every live link, so that its next send decides the record again."""
+        for node in self.nodes.values():
+            peers = node.peers
+            for peer in peers:
+                peers[peer] = None
+
     def cross_fraction(self, side: set[str]) -> float:
         total = crossing = 0
         for nid, node in self.nodes.items():
@@ -228,6 +267,7 @@ class Simulation:
 
             def activate(sim: "Simulation") -> None:
                 sim._coverage = tp.hijack_coverage(sim.topo, announced, sim.seed)
+                sim._forget_links()
                 sim.partition_attacker = PartitionAttacker(targets, sim.params.threshold, sim.now)
                 sim._push(sim.now + SWEEP_INTERVAL, Simulation._ev_sweep, ())
 
@@ -235,6 +275,7 @@ class Simulation:
                 if sim.partition_attacker is not None:
                     sim.partition_attacker.lift(sim.now)
                 sim._coverage = None
+                sim._forget_links()
 
             self.schedule_control(active_at, activate)
             if attack.end is not None:
@@ -257,42 +298,33 @@ class Simulation:
     def _send(self, src: str, dsts: list[str], msg) -> None:
         """Send `msg` from `src` to each of `dsts`, in order; the only send path.
 
-        Each link's delay is measured on its first send and kept in the
-        sender's `peers` until the connection closes.  In a send to more than
-        one destination, those that get `msg` itself at one arrival time
-        share one queue entry; a transformed message is queued alone and
-        closes that time's entry, so every bucket runs in the order of one
-        entry per destination.  A one-destination send, most sends under a
-        delay attack, queues a plain delivery.
+        Each link's `Link` record is decided on its first send and kept in
+        the sender's `peers` until a connect or a hijack's activation or lift
+        resets it; a diverted frame still passes `PartitionAttacker.tick` and
+        an intercepted one `DelayAttacker.transform`, every time.  In a send
+        to more than one destination, those that get `msg` itself at one
+        arrival time share one queue entry; a transformed message is queued
+        alone and closes that time's entry, so every bucket runs in the order
+        of one entry per destination.  A one-destination send, most sends
+        under a delay attack, queues a plain delivery.
         """
         nodes, buckets, times = self.nodes, self._buckets, self._times
         links = nodes[src].peers
-        coverage, partition, delayer = self._coverage, self.partition_attacker, self.delay_attacker
-        watched = coverage is not None or delayer is not None
-        fabric = self._fabric.get(src, ())  # a fabric link is instant and invisible to attackers
-        src_as = self._home_as[src]
+        partition, delayer = self.partition_attacker, self.delay_attacker
         now = self.now
         inv = type(msg) is pr.InvMsg
         groups = {} if len(dsts) > 1 else None  # arrival time -> the open entry's destinations
         for dst in dsts:
             try:
-                delay = links[dst]
+                link = links[dst]
             except KeyError:
                 continue  # not a peer
-            out = msg
-            if watched and dst not in fabric:
-                if coverage is not None and coverage.diverted(dst, src_as):
-                    if not partition.tick(src, dst, msg, now):
-                        continue
-                if delayer is not None and delayer.intercepts(src, dst):
-                    out = delayer.transform(src, dst, msg, now)
-            if delay is None:
-                if dst in fabric:
-                    delay = 0.0
-                else:  # an unroutable explicit connection costs base_delay alone
-                    hops = self.topo.forwarding.hops(src_as, self._home_as[dst]) or 0
-                    delay = self.params.base_delay + self.params.per_hop_delay * hops
-                links[dst] = delay
+            if link is None:
+                link = links[dst] = self._link(src, dst)
+            delay, diverted, intercepted = link
+            if diverted and not partition.tick(src, dst, msg, now):
+                continue
+            out = delayer.transform(src, dst, msg, now) if intercepted else msg
             when = now + delay
             bucket = buckets.get(when)
             if out is not msg:  # the delay attacker rewrites only GETDATA and BLOCK
@@ -452,13 +484,24 @@ class Simulation:
                 handler(self, *args)
 
     def run(self) -> "Simulation":
-        """Run to the end and return this finished simulation, the run's result."""
-        self._install_attack()
-        self._setup_connections()
-        self._schedule_initial()
-        self._run_queue()
-        if self.partition_attacker is not None and self.partition_attacker.lifted_at is None:
-            self.partition_attacker.sweep(self.now)
+        """Run to the end and return this finished simulation, the run's result.
+
+        The cyclic collector is paused for the run: a run makes no reference
+        cycles, so a collection would only rescan live state.  The caller's
+        collector state is restored however the run ends.
+        """
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            self._install_attack()
+            self._setup_connections()
+            self._schedule_initial()
+            self._run_queue()
+            if self.partition_attacker is not None and self.partition_attacker.lifted_at is None:
+                self.partition_attacker.sweep(self.now)
+        finally:
+            if collecting:
+                gc.enable()
         return self
 
 

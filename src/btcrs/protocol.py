@@ -167,8 +167,8 @@ class Node:
     def __init__(self, node_id: str, known: dict[bytes, Block] | None = None):
         self.node_id = node_id
         self.chain = ChainView(known)
-        # peer -> one-way delay of the link to it, None until the engine's first send fills it
-        self.peers: dict[str, float | None] = {}
+        # peer -> the engine's record of the link to it (`engine.Link`), None until a send decides it
+        self.peers: dict[str, tuple | None] = {}
         self.pending: dict[bytes, Pending] = {}
         self.advertisers: dict[bytes, list[str]] = {}
         self._outgoing: set[str] = set()
@@ -184,7 +184,7 @@ class Node:
 
     def on_connect(self, peer: str, dialed: bool, now: float) -> list:
         """A connection to `peer` opened; `dialed` is True when this node dialed it."""
-        self.peers[peer] = None  # a reconnect measures its link again
+        self.peers[peer] = None  # a reconnect decides its link again
         if dialed:
             self._outgoing.add(peer)
         else:

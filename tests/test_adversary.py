@@ -125,6 +125,52 @@ def test_monitored_is_partition_minus_leaked(steps):
         assert a.monitored == a.partition - a.leaked
 
 
+class EagerLiveness(adv.PartitionAttacker):
+    """The reference: `sweep` builds the unresponsive set and every `tick` prunes it."""
+
+    unresponsive = None  # a plain attribute here, not the derived property
+
+    def __init__(self, partition, threshold, now):
+        super().__init__(partition, threshold, now)
+        self.unresponsive = set()
+
+    def tick(self, src, dst, msg, now):
+        verdict = super().tick(src, dst, msg, now)
+        if src in self.partition:  # heard from, or leaked: either way no longer unresponsive
+            self.unresponsive.discard(src)
+        return verdict
+
+    def sweep(self, now):
+        self.unresponsive = {n for n in self.monitored if now - self.last_seen[n] >= self.threshold}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([0.5, 5.0, 60.0]),
+       st.lists(st.tuples(st.sampled_from("abcxy"), st.sampled_from("abcxy"),
+                          st.sampled_from(["external", "internal", "getdata", "sweep"]),
+                          st.sampled_from([0.0, 0.25, 1.0, 4.0, 30.0])), max_size=60))
+def test_derived_liveness_equals_eager_sweeps(threshold, steps):
+    got = adv.PartitionAttacker({"a", "b", "c"}, threshold, now=0.0)
+    want = EagerLiveness({"a", "b", "c"}, threshold, now=0.0)
+    ext, internal = mk(G, "x", 0), mk(G, "a", 1)
+    msgs = {"external": inv_of(ext), "internal": inv_of(internal),
+            "getdata": pr.GetDataMsg([(wire.INV_BLOCK, ext.hash)])}
+    for a in (got, want):
+        a.register_block(ext.hash, {"x"})
+        a.register_block(internal.hash, {"a"})
+    now = 0.0
+    for src, dst, what, dt in steps:
+        now += dt  # the engine's clock never runs backwards, and ticks may share a sweep's time
+        for a in (got, want):
+            if what == "sweep":
+                a.sweep(now)
+            else:
+                a.tick(src, dst, msgs[what], now)
+        assert got.unresponsive == want.unresponsive
+        assert got.leaked == want.leaked
+        assert got.report() == want.report()
+
+
 # -------------------------------------------------------------------- delay --
 
 
