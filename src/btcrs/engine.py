@@ -4,11 +4,11 @@ One queue orders deliveries, mining, request timeouts, background
 transaction chatter, churn reboots and attack control: a heap of distinct
 times, each with a FIFO list of the events due then.  Each event carries the
 function that handles it, and events at one time run in insertion order, so
-a (scenario, seed) pair always replays identically.  One fan-out's
-deliveries of the same message at the same time are one event that walks
-its destinations in order, which runs exactly as one event each would.  An
-INV whose every block its receiver already has is never delivered; only its
-time is queued.
+a (scenario, seed) pair always replays identically.  Block INVs, the only
+fan-out, have their own path: one announcement's deliveries due at one time
+are one event that walks its destinations in order, exactly as one event
+each would.  An INV whose every block its receiver holds, when sent or on
+arrival, never reaches `on_inv`; one held when sent queues only its time.
 
 Latency between two nodes is `base_delay` plus `per_hop_delay` for every
 inter-AS hop of the policy-compliant route (`ForwardingTable.hops`), which
@@ -289,31 +289,26 @@ class Simulation:
     def _execute(self, nid: str, actions) -> None:
         for kind, what, arg in actions:
             if kind == pr.SEND:
-                self._send(nid, what, arg)
+                if type(arg) is pr.InvMsg:
+                    self._announce(nid, what, arg)
+                else:
+                    self._send(nid, what, arg)
             elif kind == pr.TIMER:
                 self._push(arg, Simulation._ev_timeout, (nid, what, arg))
             else:
                 self._disconnect(nid, what)
 
     def _send(self, src: str, dsts: list[str], msg) -> None:
-        """Send `msg` from `src` to each of `dsts`, in order; the only send path.
+        """Send a GETDATA, BLOCK or tx request from `src` to each of `dsts`, in order; INVs go by `_announce`.
 
         Each link's `Link` record is decided on its first send and kept in
         the sender's `peers` until a connect or a hijack's activation or lift
         resets it; a diverted frame still passes `PartitionAttacker.tick` and
-        an intercepted one `DelayAttacker.transform`, every time.  In a send
-        to more than one destination, those that get `msg` itself at one
-        arrival time share one queue entry; a transformed message is queued
-        alone and closes that time's entry, so every bucket runs in the order
-        of one entry per destination.  A one-destination send, most sends
-        under a delay attack, queues a plain delivery.
+        an intercepted one `DelayAttacker.transform`, every time.
         """
-        nodes, buckets, times = self.nodes, self._buckets, self._times
-        links = nodes[src].peers
+        buckets, times, links = self._buckets, self._times, self.nodes[src].peers
         partition, delayer = self.partition_attacker, self.delay_attacker
         now = self.now
-        inv = type(msg) is pr.InvMsg
-        groups = {} if len(dsts) > 1 else None  # arrival time -> the open entry's destinations
         for dst in dsts:
             try:
                 link = links[dst]
@@ -324,62 +319,80 @@ class Simulation:
             delay, diverted, intercepted = link
             if diverted and not partition.tick(src, dst, msg, now):
                 continue
-            out = delayer.transform(src, dst, msg, now) if intercepted else msg
             when = now + delay
-            bucket = buckets.get(when)
-            if out is not msg:  # the delay attacker rewrites only GETDATA and BLOCK
-                entry = (Simulation._ev_deliver, (src, dst, out))
-                if groups:
-                    groups.pop(when, None)
+            entry = (Simulation._ev_deliver, (src, dst, delayer.transform(src, dst, msg, now) if intercepted else msg))
+            if (bucket := buckets.get(when)) is None:  # `_push`, inline: most sends under a delay attack come here
+                buckets[when] = [entry]
+                heapq.heappush(times, when)
             else:
-                if inv:
-                    held = nodes[dst].chain.arrival
-                    for _, h in msg.items:
-                        if h not in held:
-                            break
-                    else:
-                        # on_inv skips a held hash and a node's blocks only grow, so this
-                        # delivery would change nothing but the clock: queue its time alone
-                        if bucket is None:
-                            buckets[when] = []
-                            heapq.heappush(times, when)
-                        continue
-                if groups is None:
-                    entry = (Simulation._ev_deliver, (src, dst, msg))
-                else:
-                    group = groups.get(when)
-                    if group is not None:
-                        group.append(dst)
-                        continue
-                    group = groups[when] = [dst]
-                    entry = (Simulation._ev_deliver_all, (src, group, msg))
-            if bucket is None:
+                bucket.append(entry)
+
+    def _announce(self, src: str, dsts: list[str], msg: pr.InvMsg) -> None:
+        """Send the INV `msg` from `src` to each of `dsts`, in order; the one send that fans out.
+
+        Links and `PartitionAttacker.tick` are as in `_send`, but no INV is
+        shown to `DelayAttacker.transform`, which returns every INV as is and
+        counts nothing (`test_transform_returns_any_inv_untouched`).  Only the
+        arrival time is queued for a destination that already holds every
+        announced block; the rest share one `_ev_announce` entry per time.
+        """
+        nodes, buckets, times = self.nodes, self._buckets, self._times
+        links, partition, now = nodes[src].peers, self.partition_attacker, self.now
+        groups = {}  # arrival time -> the destinations of this send's entry at that time
+        for dst in dsts:
+            try:
+                link = links[dst]
+            except KeyError:
+                continue  # not a peer
+            if link is None:
+                link = links[dst] = self._link(src, dst)
+            delay, diverted, _ = link
+            if diverted and not partition.tick(src, dst, msg, now):
+                continue
+            when = now + delay
+            held = nodes[dst].chain.arrival
+            for _, h in msg.items:
+                if h not in held:
+                    break
+            else:  # on_inv skips a held hash and blocks are never lost: only the clock would move
+                if when not in buckets:
+                    buckets[when] = []
+                    heapq.heappush(times, when)
+                continue
+            if (group := groups.get(when)) is not None:
+                group.append(dst)
+                continue
+            entry = (Simulation._ev_announce, (src, groups.setdefault(when, [dst]), msg))
+            if (bucket := buckets.get(when)) is None:
                 buckets[when] = [entry]
                 heapq.heappush(times, when)
             else:
                 bucket.append(entry)
 
     def _ev_deliver(self, src: str, dst: str, msg) -> None:
+        """Deliver one GETDATA or BLOCK; INVs arrive by `_ev_announce`."""
         node = self.nodes[dst]
         if src not in node.peers:
             return  # the connection died while the frame was in flight
-        kind = type(msg)
-        if kind is pr.InvMsg:
-            acts = node.on_inv(src, msg, self.now)
-        elif kind is pr.GetDataMsg:
+        if type(msg) is pr.GetDataMsg:
             acts = node.on_getdata(src, msg, self.now)
-        elif kind is pr.BlockMsg:
+        else:
             acts = node.on_block(src, msg, self.now)
-        else:  # pragma: no cover
-            raise TypeError(f"unroutable message {msg!r}")
         if acts:
             self._execute(dst, acts)
 
-    def _ev_deliver_all(self, src: str, dsts: list[str], msg) -> None:
-        """Deliver `msg` from `src` to each of `dsts` in turn, as one event each would."""
-        deliver = Simulation._ev_deliver  # the handler a single delivery is queued with
+    def _ev_announce(self, src: str, dsts: list[str], msg: pr.InvMsg) -> None:
+        """Hand the INV to `on_inv` at each of `dsts` in turn, unless the connection closed or every block is held."""
+        nodes, now = self.nodes, self.now
         for dst in dsts:
-            deliver(self, src, dst, msg)
+            node = nodes[dst]
+            if src in node.peers:
+                held = node.chain.arrival
+                for _, h in msg.items:
+                    if h not in held:
+                        if acts := node.on_inv(src, msg, now):
+                            self._execute(dst, acts)
+                        break
 
     def _ev_timeout(self, nid: str, block_hash: bytes, deadline: float) -> None:
         self._execute(nid, self.nodes[nid].on_timeout(block_hash, deadline, self.now))

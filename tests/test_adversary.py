@@ -459,3 +459,25 @@ def test_message_tampering_equals_frame_tampering(kind, direction, steps, seed):
     assert (attacker.rewrites, attacker.restores, attacker.corruptions) == (
         ref.rewrites, ref.restores, ref.corruptions)
     assert attacker._stash == ref._stash
+
+
+# the engine's INV path (`Simulation._announce`) never shows an INV to `transform`, on the strength of this
+@pytest.mark.parametrize("kind,direction", [pytest.param("coalition", "outgoing", id="network-outgoing"),
+                                            pytest.param("delay", "outgoing", id="node-outgoing"),
+                                            pytest.param("delay", "incoming", id="node-incoming")])
+@settings(max_examples=100, deadline=None)
+@given(steps=_steps)
+def test_transform_returns_any_inv_untouched(kind, direction, steps):
+    # any INV, at any point of a run of tampering, comes back as the same object and moves no count or stash
+    attacker = adv.DelayAttacker(tp.Attack(kind, ("v",) if kind == "delay" else (), direction=direction), PARAMS)
+    now = 0.0
+    for (src, dst), dt, msg in steps:
+        now += dt
+        if msg == "disconnect":
+            attacker.on_disconnect(src, dst)
+            continue
+        before = (attacker.rewrites, attacker.restores, attacker.corruptions, copy.deepcopy(attacker._stash))
+        got = attacker.transform(src, dst, msg, now)
+        if isinstance(msg, pr.InvMsg):
+            assert got is msg
+            assert (attacker.rewrites, attacker.restores, attacker.corruptions, attacker._stash) == before

@@ -139,9 +139,11 @@ def _reference_delay(sim, src, dst):
 class HeapSimulation(engine.Simulation):
     """One `(when, seq, handler, args)` heap entry per event, one message per send, and every INV delivered.
 
-    The reference that the timestamp buckets, the batched destination walk,
-    the skipped INV deliveries, the dial's test order, the skipped empty
-    connects and the crossing count of `Simulation` must agree with.
+    The reference that the timestamp buckets, the INV path's batched
+    destination walk, its unasked delay attacker and its skipped deliveries,
+    the dial's test order, the skipped empty connects and the crossing count
+    of `Simulation` must agree with.  Every INV, too, goes through `_send_one`
+    and `_deliver`: `_execute` sends an INV by `_announce`, overridden here.
     """
 
     def __init__(self, *args, **kwargs):
@@ -156,6 +158,8 @@ class HeapSimulation(engine.Simulation):
     def _send(self, src, dsts, msg):
         for dst in dsts:
             self._send_one(src, dst, msg)
+
+    _announce = _send
 
     def _send_one(self, src, dst, msg):
         if dst not in self.nodes[src].peers:
@@ -243,24 +247,32 @@ class HeapSimulation(engine.Simulation):
 def _queued_by(sim, fn):
     """Run `fn(sim)`; return (when, args) of every event it queued, in run order.
 
-    A fan-out entry of `Simulation` holds a list of destinations; it counts
-    as one `(src, dst, msg)` event per destination, in the list's order.
+    An `_ev_announce` entry of `Simulation` holds a list of destinations; it
+    counts as one `(src, dst, msg)` event per destination, in the list's
+    order.  A `HeapSimulation` INV to a node that holds every block it names
+    counts as none, since `Simulation` queues only its time.
     """
     if isinstance(sim, HeapSimulation):
         seq = sim._seq
         fn(sim)
-        return [(w, args) for w, s, _, args in sorted(sim._heap) if s >= seq]
+        return [(w, args) for w, s, _, args in sorted(sim._heap) if s >= seq and not _held_inv(sim, *args)]
     sizes = {w: len(b) for w, b in sim._buckets.items()}
     fn(sim)
     queued = []
     for w in sorted(sim._buckets):
         for handler, args in sim._buckets[w][sizes.get(w, 0):]:
-            if handler is engine.Simulation._ev_deliver_all:
+            if handler is engine.Simulation._ev_announce:
                 src, dsts, msg = args
                 queued.extend((w, (src, dst, msg)) for dst in dsts)
             else:
                 queued.append((w, args))
     return queued
+
+
+def _held_inv(sim, src, dst, msg):
+    """True for an INV whose every block `dst` holds: `on_inv` would change nothing there."""
+    held = sim.nodes[dst].chain.arrival
+    return type(msg) is pr.InvMsg and all(h in held for _, h in msg.items)
 
 
 def _run_state(cls, topo, seed, inject=None):
@@ -307,8 +319,12 @@ def _assert_same_as_heap(raw, seed):
 
 @st.composite
 def gossip_worlds(draw):
-    """Small worlds whose runs cover churn, pool fabrics, a dial veto, and both attack kinds."""
-    kind = draw(st.sampled_from(["halves", "hijack", "perfect", "paperlike", "delay"]))
+    """Small worlds whose runs cover churn, pool fabrics, a dial veto, and every attack kind.
+
+    The delay attacks of both directions and the coalition intercept INVs,
+    which the reference shows to `DelayAttacker.transform` and `Simulation` does not.
+    """
+    kind = draw(st.sampled_from(["halves", "hijack", "perfect", "paperlike", "delay", "coalition"]))
     if kind in ("halves", "hijack", "perfect"):
         n_as = draw(st.sampled_from([4, 6, 8]))
         raw = synth.two_halves(n_nodes=draw(st.integers(n_as, 60)), n_as=n_as, seed=draw(st.integers(0, 9)))
@@ -327,12 +343,15 @@ def gossip_worlds(draw):
                                            end=draw(st.sampled_from([None, 900.0])))
         else:
             del raw["attack"]
-    elif kind == "paperlike":
+    elif kind in ("paperlike", "coalition"):
         raw = synth.adjust_pool_degree(paperlike(), draw(st.sampled_from([1, 3])))
         raw["params"]["blocks"] = draw(st.integers(1, 6))
+        if kind == "coalition":
+            raw["attack"] = {"kind": "delay", "target": [], "params": {"coalition": "US"}}
     else:
         raw = synth.delay_node_scenario(n_relays=draw(st.integers(3, 8)))  # the relay ring needs 3
-        raw["attack"]["params"]["interception"] = draw(st.sampled_from([0.0, 0.5, 1.0]))
+        raw["attack"]["params"].update(interception=draw(st.sampled_from([0.0, 0.5, 1.0])),
+                                       direction=draw(st.sampled_from(["outgoing", "incoming"])))
         raw["params"]["blocks"] = draw(st.integers(1, 6))
     return raw
 
@@ -346,17 +365,20 @@ def test_buckets_and_inv_skipping_equal_heap_reference(raw, seed):
 @settings(max_examples=60, deadline=None)
 @given(gossip_worlds(), st.integers(0, 2**16), st.data())
 def test_any_destination_list_is_walked_like_one_send_each(raw, seed, data):
-    # the handlers send only to peers, in sorted order; this reaches the walk's
-    # peer check and its order with non-peers, repeats and any order
+    # the handlers announce only to peers, in sorted order; this reaches the INV
+    # walk's peer check and its order with non-peers, repeats and any order, for
+    # a block every node holds, the latest mined one or one nobody has
     topo = tp.load_topology(raw)
     ids = sorted(topo.nodes)
     src = data.draw(st.sampled_from(ids))
     dsts = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=12))
     when = data.draw(st.floats(0.0, 1500.0))
-    msg = pr.GetDataMsg([(wire.INV_TX, bytes(32))])
+    block = data.draw(st.sampled_from(["genesis", "latest", "unknown"]))
 
     def inject(sim):
-        sim._send(src, dsts, msg)
+        h = {"genesis": pr.GENESIS.hash, "unknown": bytes(32)}.get(block)
+        h = h or (sim.mined[-1] if sim.mined else pr.GENESIS).hash
+        sim._execute(src, [(pr.SEND, dsts, pr.block_inv(h))])
 
     assert (_run_state(engine.Simulation, topo, seed, (when, inject))
             == _run_state(HeapSimulation, topo, seed, (when, inject)))
@@ -387,16 +409,22 @@ TX_REQUEST = pr.GetDataMsg([(wire.INV_TX, bytes(32))])
 
 
 def test_fan_out_shares_one_entry_per_arrival_time_in_push_order():
-    dsts = ["n2", "n3", "n4", "n5", "n6"]
-    sim = _connected(tiny_world(), [("n1", d) for d in dsts])
-    x, y = engine.Link(1.0, False, False), engine.Link(2.0, False, False)
-    sim.nodes["n1"].peers.update(n2=x, n3=y, n4=x, n5=engine.Link(1.0, False, True), n6=x)  # n5 rewritten
-    sim.delay_attacker = _Rewrites("n5")
-    queued = _queued_by(sim, lambda s: s._send("n1", dsts, TX_REQUEST))
-    assert [(w, dst, out is TX_REQUEST) for w, (_, dst, out) in queued] == [
-        (1.0, "n2", True), (1.0, "n4", True), (1.0, "n5", False), (1.0, "n6", True), (2.0, "n3", True)]
-    # the rewritten message closes the entry of its time: n6 starts a new one
-    assert [to for _, (_, to, _) in sim._buckets[1.0]] == [["n2", "n4"], "n5", ["n6"]]
+    dsts = ["n2", "n3", "n4", "n5", "n6", "n7"]
+    sim = _connected(tiny_world(n=7), [("n1", d) for d in dsts])
+    block = pr.make_block(pr.GENESIS, "m", 0, 0.0)
+    for holder in ("n4", "n7"):  # they hold the block when it is announced
+        sim.nodes[holder].chain.add(block, 0.0)
+    x, y, z = (engine.Link(t, False, False) for t in (1.0, 2.0, 3.0))
+    sim.nodes["n1"].peers.update(n2=x, n3=y, n4=x, n5=engine.Link(1.0, False, True), n6=x, n7=z)
+    sim.delay_attacker = _Rewrites("n5")  # it would rewrite whatever it were shown
+    inv = pr.block_inv(block.hash)
+    queued = _queued_by(sim, lambda s: s._execute("n1", [(pr.SEND, dsts, inv)]))
+    assert [(w, dst, out is inv) for w, (_, dst, out) in queued] == [
+        (1.0, "n2", True), (1.0, "n5", True), (1.0, "n6", True), (2.0, "n3", True)]
+    # the intercepted n5 gets the INV itself, in the entry of its time; the holders get no delivery
+    assert [(handler, to) for handler, (_, to, _) in sim._buckets[1.0]] == [
+        (engine.Simulation._ev_announce, ["n2", "n5", "n6"])]
+    assert sim._buckets[3.0] == []  # n7's arrival time alone
 
 
 def asymmetric_world():
@@ -769,49 +797,72 @@ def test_blocks_converge_without_attack():
 
 
 class _DeliveryLog(HeapSimulation):
-    """`HeapSimulation` that logs each delivery `Simulation` makes: every one but an INV held in full when sent."""
+    """`HeapSimulation` that logs each delivery `Simulation` makes.
+
+    That is every one but an INV held in full when sent, and an INV held in
+    full or to a closed connection when it arrives.
+    """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.delivered = []
 
     def _push(self, when, handler, args):
-        if handler is HeapSimulation._deliver:
-            _, dst, msg = args
-            held = self.nodes[dst].chain.arrival
-            if not (type(msg) is pr.InvMsg and all(h in held for _, h in msg.items)):
-                handler = _DeliveryLog._logged
+        if handler is HeapSimulation._deliver and not _held_inv(self, *args):
+            handler = _DeliveryLog._logged
         super()._push(when, handler, args)
 
     def _logged(self, src, dst, msg):
-        self.delivered.append((self.now, src, dst, msg))
+        if type(msg) is not pr.InvMsg or (src in self.nodes[dst].peers and not _held_inv(self, src, dst, msg)):
+            self.delivered.append((self.now, src, dst, msg))
         self._deliver(src, dst, msg)
 
 
 def test_every_delivery_runs_the_class_handler_once(monkeypatch):
-    # single and fan-out deliveries both dispatch through `Simulation._ev_deliver`, so patching it sees all
+    # GETDATA and BLOCK dispatch through `Simulation._ev_deliver`, and every INV an
+    # `_ev_announce` entry hands on through the class's `Node.on_inv`, so patching them sees all
     raw = synth.adjust_pool_degree(paperlike(), 3)
     raw["params"]["blocks"] = 4
     raw["attack"] = {"kind": "delay", "target": [], "params": {"coalition": "US"}}  # rewrites are single entries
     topo = tp.load_topology(raw)
     want = _DeliveryLog(topo, 0, attack=topo.attack).run().delivered
-    delivered, fan_outs = [], []
-    deliver, deliver_all = engine.Simulation._ev_deliver, engine.Simulation._ev_deliver_all
+    delivered, fan_outs, singles = [], [], []
+    deliver, announce, on_inv = engine.Simulation._ev_deliver, engine.Simulation._ev_announce, pr.Node.on_inv
 
     def counting(sim, src, dst, msg):
         delivered.append((sim.now, src, dst, msg))
+        singles.append(msg)
         deliver(sim, src, dst, msg)
 
     def batching(sim, src, dsts, msg):
         fan_outs.append(len(dsts))
-        deliver_all(sim, src, dsts, msg)
+        announce(sim, src, dsts, msg)
+
+    def logged_inv(node, src, msg, now):
+        delivered.append((now, src, node.node_id, msg))
+        return on_inv(node, src, msg, now)
 
     monkeypatch.setattr(engine.Simulation, "_ev_deliver", counting)
-    monkeypatch.setattr(engine.Simulation, "_ev_deliver_all", batching)
+    monkeypatch.setattr(engine.Simulation, "_ev_announce", batching)
+    monkeypatch.setattr(pr.Node, "on_inv", logged_inv)
     engine.run_scenario(topo, 0)
-    assert max(fan_outs) > 1 and len(delivered) > sum(fan_outs)  # both kinds of entry ran
+    invs = len(delivered) - len(singles)
+    assert max(fan_outs) > 1 and len(singles) > 0  # both kinds of entry ran
+    assert 0 < invs < sum(fan_outs)  # and some announced INVs were held on arrival
     assert len(delivered) == len(want)
     assert delivered == want
+
+
+def test_heap_reference_never_reaches_the_announce_path(monkeypatch):
+    # every INV of `HeapSimulation` goes through its own `_deliver`, whatever `Simulation` does with INVs
+    def refuse(*args):
+        raise AssertionError("the reference reached Simulation's INV path")
+
+    monkeypatch.setattr(engine.Simulation, "_announce", refuse)
+    monkeypatch.setattr(engine.Simulation, "_ev_announce", refuse)
+    topo = tp.load_topology(synth.adjust_pool_degree(paperlike(), 3))
+    sim = HeapSimulation(topo, 0, {"blocks": 3}).run()
+    assert len(sim.mined) == 3 and all(n.chain.tip == sim.mined[-1] for n in sim.nodes.values())
 
 
 # ---------------------------------------------------------------- overrides --
