@@ -17,7 +17,7 @@ HERE = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 def main():
     out = {
         "delaynode.scn": synth.delay_node_scenario(),
-        "twohalves.scn": synth.two_halves(n_nodes=1000, n_as=40, seed=0),
+        "twohalves.scn": synth.two_halves(n_nodes=1000, n_as=40),
     }
     for name, raw in out.items():
         path = HERE / name

@@ -5,7 +5,8 @@ that travel between partition members, none of which mention a block mined
 outside.  A member caught relaying outside information is `leaked` and cut
 off; a member not heard from for `threshold` seconds at the last liveness
 sweep is `unresponsive`.  A sweep only records its time: the unresponsive
-set is derived from the liveness clocks when it is read.
+set is derived from the liveness clocks when it is read.  The engine takes
+one sweep, at the lift or at the end of the run.
 
 The delay attacker runs a `topology.Attack` of kind `delay` or `coalition`.
 It rewrites block requests in flight so the requester's peer serves a block
@@ -170,8 +171,7 @@ class DelayAttacker:
         self.incoming = delay and attack.direction == "incoming"
         self.coalition = None if delay else attack.coalition  # None: a single-victim attack
         self.target_count = round(attack.interception * params.outgoing_target)
-        margin = attack.restore_margin
-        self.restore_margin = params.restore_margin if margin is None else margin
+        self.restore_margin = attack.restore_margin
         self.topo = topo
         self.intercepted: set[str] = set()
         self._stash: dict[tuple[str, str], _Stash] = {}

@@ -20,6 +20,10 @@ The record is decided on the link's first send and kept until a connect
 resets it; a hijack's activation and lift reset every live link, since they
 change the diversion verdict.
 
+A hijack's liveness sweep only records its time, so none is queued: a lift
+takes one, or else `run` does at the end, at the later of the last event and
+the last point by the horizon of the `SWEEP_INTERVAL` grid from activation.
+
 Background transaction chatter runs only when the attack reads it:
 a `delay` attack or a hijack partition (`topology.Attack.reads_tx`).
 Anywhere else a tx request changes no state, so leaving it out keeps every
@@ -185,12 +189,16 @@ class Simulation:
         if lost_out_b and len(out_b) < self.params.outgoing_target:
             self._dial(b, exclude=frozenset({a}))
 
+    def _join_fabric(self, nid: str) -> None:
+        """Connect `nid` to each other gateway of its pool fabric not yet a peer: fabrics are instant cliques."""
+        peers = self.nodes[nid].peers
+        for g in sorted(self._fabric.get(nid, ())):
+            if g != nid and g not in peers:
+                self._connect(nid, g, dialed=False)
+
     def _setup_connections(self) -> None:
-        # gateways of privately peered pools form instant cliques
-        for a in self._node_order:
-            for b in sorted(self.topo.fabric_of(a)):
-                if a < b:
-                    self._connect(a, b, dialed=False)
+        for nid in sorted(self._fabric):
+            self._join_fabric(nid)
         if self.params.connections is not None:
             for a, b in self.params.connections:
                 if b not in self.nodes[a].peers:
@@ -269,7 +277,6 @@ class Simulation:
                 sim._coverage = tp.hijack_coverage(sim.topo, announced, sim.seed)
                 sim._forget_links()
                 sim.partition_attacker = PartitionAttacker(targets, sim.params.threshold, sim.now)
-                sim._push(sim.now + SWEEP_INTERVAL, Simulation._ev_sweep, ())
 
             def deactivate(sim: "Simulation") -> None:
                 if sim.partition_attacker is not None:
@@ -414,7 +421,7 @@ class Simulation:
         parent = self.nodes[inserted[0]].chain.tip
         block = pr.make_block(parent, miner, len(self.mined), self.now)
         self.mined.append(block)
-        if self.partition_attacker is not None and self._coverage is not None:
+        if self._coverage is not None:
             self.partition_attacker.register_block(block.hash, set(inserted))
         for nid in inserted:
             self._execute(nid, self.nodes[nid].accept_block(block, self.now))
@@ -444,19 +451,12 @@ class Simulation:
             self._disconnect(nid, peer, refill_a=False)  # the rebooted node redials below
         node.pending.clear()
         node.advertisers.clear()
-        for g in sorted(self.topo.fabric_of(nid)):
-            if g != nid and g not in node.peers:
-                self._connect(nid, g, dialed=False)
+        self._join_fabric(nid)
         for _ in range(self.params.outgoing_target):
             if not self._dial(nid):
                 break
         self._push(self.now + self._churn_rng[nid].expovariate(1.0 / self._lifetime[nid]),
                    Simulation._ev_churn, (nid,))
-
-    def _ev_sweep(self) -> None:
-        if self.partition_attacker is not None and self._coverage is not None:
-            self.partition_attacker.sweep(self.now)
-            self._push(self.now + SWEEP_INTERVAL, Simulation._ev_sweep, ())
 
     # ---- main loop ----
 
@@ -511,7 +511,10 @@ class Simulation:
             self._schedule_initial()
             self._run_queue()
             if self.partition_attacker is not None and self.partition_attacker.lifted_at is None:
-                self.partition_attacker.sweep(self.now)
+                tick = self.attack.start + self.params.convergence_delay  # the grid by repeated addition
+                while tick + SWEEP_INTERVAL <= self.horizon:
+                    tick += SWEEP_INTERVAL
+                self.partition_attacker.sweep(max(self.now, tick))
         finally:
             if collecting:
                 gc.enable()

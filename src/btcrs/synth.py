@@ -92,10 +92,9 @@ def delay_node_scenario(n_relays: int = 8) -> dict:
     }
 
 
-def two_halves(n_nodes: int = 1000, n_as: int = 40, seed: int = 0) -> dict:
+def two_halves(n_nodes: int = 1000, n_as: int = 40) -> dict:
     """Two AS-disjoint halves for partition-recovery experiments."""
     assert n_as % 2 == 0
-    rng = random.Random(f"two-halves:{seed}")
     t1, t2 = n_as + 1, n_as + 2
     ases = [{"id": a, "country": "XX"} for a in range(1, n_as + 1)]
     ases += [{"id": t1, "country": "XX"}, {"id": t2, "country": "XX"}]

@@ -167,7 +167,6 @@ def compute_forwarding(graph: AsGraph) -> ForwardingTable:
 @dataclass
 class Topology:
     graph: AsGraph
-    prefixes: list[Prefix]
     nodes: dict[str, NodePlacement]
     pools: dict[str, Pool]
     params: dict
@@ -357,7 +356,6 @@ class SimParams:
     tx_getdata_rate: float = _param(0.0, "number", minimum=0)
     drain_time: float = _param(7200.0, "number", minimum=0)
     threshold: float = _param(600.0, "number", minimum=0)
-    restore_margin: float = _param(300.0, "number", minimum=0)
     convergence_delay: float = _param(90.0, "number", minimum=0)
     outgoing_target: int = _param(8, "integer", minimum=0)
     max_connections: int = _param(125, "integer", minimum=0)
@@ -478,7 +476,7 @@ def load_topology(path: str | Path | dict) -> Topology:
             peers[b].add(a)
     _check_provider_acyclic(providers)
 
-    prefixes: list[Prefix] = []
+    by_str: dict[str, tuple[Prefix, ipaddress.IPv4Network]] = {}  # "a.b.c.d/len" -> the prefix and its network
     nets: list[tuple[ipaddress.IPv4Network, str]] = []
     for where, entry in _entries(raw, "prefixes"):
         base, length, origin = entry.get("base"), entry.get("len"), entry.get("origin_as")
@@ -492,9 +490,9 @@ def load_topology(path: str | Path | dict) -> Topology:
         for other, ow in nets:
             _require(not net.overlaps(other), where, f"prefix {net} overlaps {other} ({ow})")
         nets.append((net, where))
-        prefixes.append(Prefix(str(net.network_address), length, origin))
+        prefix = Prefix(str(net.network_address), length, origin)
+        by_str[str(prefix)] = (prefix, net)
 
-    by_str = {str(p): (p, net) for p, (net, _) in zip(prefixes, nets)}
     nodes: dict[str, NodePlacement] = {}
     ips_seen = set()
     for where, entry in _entries(raw, "nodes"):
@@ -577,7 +575,6 @@ def load_topology(path: str | Path | dict) -> Topology:
 
     topo = Topology(
         graph=AsGraph(countries, providers, customers, peers),
-        prefixes=prefixes,
         nodes=nodes,
         pools=pools,
         params=params,
@@ -626,8 +623,7 @@ class Attack:
     `kind` is `perfect` or `hijack` (a partition of `target` from `start` to
     `end`), `delay` (tampering with victim `target[0]`'s block requests) or
     `coalition` (tampering on every route through the ASes of `coalition`).
-    `announced` None covers the target set, and `restore_margin` None is the
-    run's `params.restore_margin`.
+    `announced` None covers the target set.
     """
 
     kind: str
@@ -639,7 +635,7 @@ class Attack:
     coalition: frozenset[int] = frozenset()
     direction: str = "outgoing"
     interception: float = 1.0
-    restore_margin: float | None = None
+    restore_margin: float = 300.0  # seconds after a swap that a `delay` attack may still restore it
 
     @property
     def reads_tx(self) -> bool:
@@ -716,13 +712,13 @@ def read_attack(attack, topo: Topology) -> Attack | None:
     interception = ap.get("interception", 1.0)
     _require(_is_number(interception) and 0 <= interception <= 1, "attack.params.interception",
              f"must be a number in [0, 1], got {interception!r}")
-    margin = ap.get("restore_margin")
-    _require("restore_margin" not in ap or _is_number(margin) and margin >= 0, "attack.params.restore_margin",
+    margin = ap.get("restore_margin", Attack.restore_margin)
+    _require(_is_number(margin) and margin >= 0, "attack.params.restore_margin",
              f"must be a number >= 0, got {margin!r}")
     if "coalition" in ap:
         return Attack("coalition", targets, coalition=frozenset(coalition))
     return Attack("delay", targets, direction=direction, interception=float(interception),
-                  restore_margin=None if margin is None else float(margin))
+                  restore_margin=float(margin))
 
 
 def _check_provider_acyclic(providers: dict[int, set[int]]) -> None:

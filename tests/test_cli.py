@@ -56,7 +56,8 @@ def test_unknown_override_is_usage_error(capsys):
                                        ("base_delay", -0.5), ("base_delay", "NaN"),
                                        ("churn", 5), ("connections", 5), ("blocks", "x"),
                                        ("connections", [["victim", "nope"]]),
-                                       ("churn", {"lifetime_table": [[0.1, 10.0]]})])
+                                       ("churn", {"lifetime_table": [[0.1, 10.0]]}),
+                                       ("restore_margin", 50)])
 def test_out_of_range_scenario_param_is_scenario_error(tmp_path, capsys, key, value):
     raw = json.loads(Path(PAPERLIKE).read_text())
     raw["params"][key] = float(value) if value == "NaN" else value
@@ -68,7 +69,8 @@ def test_out_of_range_scenario_param_is_scenario_error(tmp_path, capsys, key, va
 
 @pytest.mark.parametrize("pair", ["block_interval_mean=0", "per_hop_delay=-3", "base_delay=fast",
                                   "churn=5", "connections=5", "blocks=x",
-                                  'connections=[["A","nope"]]', 'churn={"lifetime_table":[[0.1,10.0]]}'])
+                                  'connections=[["A","nope"]]', 'churn={"lifetime_table":[[0.1,10.0]]}',
+                                  "restore_margin=50"])
 def test_out_of_range_override_is_usage_error(capsys, pair):
     assert run_cli("run", "--scenario", PAPERLIKE, "--seeds", "0", "--set", pair) == 2
     assert f"params.{pair.split('=')[0]}" in capsys.readouterr().err
@@ -275,7 +277,7 @@ def test_heal_reports_ratios(tmp_path):
     out = tmp_path / "heal.json"
     scn = tmp_path / "small.scn"
     from btcrs import synth
-    scn.write_text(json.dumps(synth.two_halves(n_nodes=80, n_as=8, seed=0)))
+    scn.write_text(json.dumps(synth.two_halves(n_nodes=80, n_as=8)))
     assert run_cli("heal", "--scenario", str(scn), "--onpath", "0.3",
                    "--seeds", "0..1", "--out", str(out)) == 0
     body = json.loads(out.read_text())
@@ -286,7 +288,7 @@ def test_heal_reports_ratios(tmp_path):
 
 def _small_halves(tmp_path, **attack):
     from btcrs import synth
-    raw = synth.two_halves(n_nodes=40, n_as=4, seed=0)
+    raw = synth.two_halves(n_nodes=40, n_as=4)
     raw["attack"].update(attack)
     scn = tmp_path / "halves.scn"
     scn.write_text(json.dumps(raw))

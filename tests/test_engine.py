@@ -8,7 +8,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import worlds
@@ -95,7 +95,7 @@ def test_run_pauses_the_collector_and_restores_the_callers_state(collecting, fai
 
 
 def _hijack_with_an_end():
-    raw = synth.two_halves(n_nodes=60, n_as=6, seed=0)
+    raw = synth.two_halves(n_nodes=60, n_as=6)
     raw["attack"] = {"kind": "partition", "target": raw["attack"]["target"],
                      "params": {"attacker_as": 8, "start": 300.0, "end": 900.0}}
     return raw
@@ -327,7 +327,7 @@ def gossip_worlds(draw):
     kind = draw(st.sampled_from(["halves", "hijack", "perfect", "paperlike", "delay", "coalition"]))
     if kind in ("halves", "hijack", "perfect"):
         n_as = draw(st.sampled_from([4, 6, 8]))
-        raw = synth.two_halves(n_nodes=draw(st.integers(n_as, 60)), n_as=n_as, seed=draw(st.integers(0, 9)))
+        raw = synth.two_halves(n_nodes=draw(st.integers(n_as, 60)), n_as=n_as)
         churn = draw(st.booleans())
         raw["params"].update(blocks=draw(st.integers(1, 6)), block_interval_mean=120.0, drain_time=1500.0,
                              churn={"enabled": churn, "lifetime_table": [[1.0, 900.0]]})
@@ -477,7 +477,7 @@ def test_fabric_link_is_instant_and_unseen_by_the_attacker():
 @pytest.mark.parametrize("onpath", [0.0, 0.5])
 def test_healing_equals_reference_dial_and_crossing_count(monkeypatch, onpath):
     # isolate's veto holds for an hour, then `onpath` keeps vetoing a seeded share of cross pairs
-    raw = synth.two_halves(n_nodes=60, n_as=6, seed=1)
+    raw = synth.two_halves(n_nodes=60, n_as=6)
     want = engine.run_healing(raw, seed=2, onpath=onpath).to_dict()
     monkeypatch.setattr(engine, "Simulation", HeapSimulation)
     assert engine.run_healing(raw, seed=2, onpath=onpath).to_dict() == want
@@ -548,7 +548,7 @@ def tx_worlds(draw, kind):
         raw = worlds.random_partition_case(draw(st.integers(0, 199)))
     else:
         n_as = draw(st.sampled_from([4, 6, 8]))
-        raw = synth.two_halves(n_nodes=draw(st.integers(n_as, 60)), n_as=n_as, seed=draw(st.integers(0, 9)))
+        raw = synth.two_halves(n_nodes=draw(st.integers(n_as, 60)), n_as=n_as)
         raw["params"].update(block_interval_mean=120.0, drain_time=1500.0,
                              churn={"enabled": draw(st.booleans()), "lifetime_table": [[1.0, 900.0]]})
         raw["attack"]["params"].update(start=draw(st.sampled_from([0.0, 300.0])),
@@ -581,7 +581,7 @@ def test_lone_peer_of_the_sender_still_records_its_tip():
 
 
 def test_held_blocks_keep_no_advertisers():
-    raw = synth.two_halves(n_nodes=60, n_as=6, seed=0)
+    raw = synth.two_halves(n_nodes=60, n_as=6)
     del raw["attack"]
     raw["params"].update(blocks=4, block_interval_mean=120.0, drain_time=1500.0)
     res = engine.run_scenario(raw, seed=0)
@@ -663,7 +663,7 @@ def test_delay_node_scenario_rejects_relay_counts_it_cannot_wire(n_relays):
 def test_hijack_lifted_before_it_takes_effect_lifts_as_it_takes_effect():
     # `end` passes the load check against `start`, but the hijack takes effect
     # only `convergence_delay` later, which `--set` can change after loading
-    raw = synth.two_halves(n_nodes=60, n_as=6, seed=0)
+    raw = synth.two_halves(n_nodes=60, n_as=6)
     raw["attack"] = {"kind": "partition", "target": raw["attack"]["target"],
                      "params": {"attacker_as": 8, "start": 0.0, "end": 100.0}}
     raw["params"].update(blocks=4, block_interval_mean=120.0, drain_time=1500.0)
@@ -676,13 +676,12 @@ def test_hijack_lifted_before_it_takes_effect_lifts_as_it_takes_effect():
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from([4, 6, 8]), st.integers(0, 9), st.booleans(), st.sampled_from([330.0, 900.0]),
-       st.integers(0, 2**16))
-def test_hijack_with_an_end_equals_heap_reference(n_as, world_seed, churn, end, seed):
+@given(st.sampled_from([4, 6, 8]), st.booleans(), st.sampled_from([330.0, 900.0]), st.integers(0, 2**16))
+def test_hijack_with_an_end_equals_heap_reference(n_as, churn, end, seed):
     # the hijack takes effect at 360 s; it is lifted before that (330 s, so at 360 s) or while
     # blocks flow (900 s).  Activation and lift each reset every live link, while the reference
     # asks `Coverage` on every send.
-    raw = synth.two_halves(n_nodes=40, n_as=n_as, seed=world_seed)
+    raw = synth.two_halves(n_nodes=40, n_as=n_as)
     raw["attack"] = {"kind": "partition", "target": raw["attack"]["target"],
                      "params": {"attacker_as": n_as + 2, "start": 300.0, "end": end}}
     raw["params"].update(blocks=6, block_interval_mean=150.0, drain_time=1500.0, convergence_delay=60.0,
@@ -694,7 +693,7 @@ def test_hijack_with_an_end_equals_heap_reference(n_as, world_seed, churn, end, 
 def test_hijack_with_an_end_reports_its_outcome_as_of_the_lift(seed):
     # after the lift the liveness clocks stop and outside blocks flow in freely,
     # so the outcome is the one a run cut off at the lift reports
-    raw = synth.two_halves(n_nodes=60, n_as=6, seed=0)
+    raw = synth.two_halves(n_nodes=60, n_as=6)
     raw["attack"] = {"kind": "partition", "target": raw["attack"]["target"],
                      "params": {"attacker_as": 8, "start": 0.0}}
     raw["params"].update(blocks=8, block_interval_mean=300.0, drain_time=1500.0, convergence_delay=0.0)
@@ -706,6 +705,53 @@ def test_hijack_with_an_end_reports_its_outcome_as_of_the_lift(seed):
     assert run.now > lift + run.params.threshold
     assert metrics.summarize(run).partition == cut
     assert cut["isolated"] and cut["external_blocks_in_isolated"] == 0
+
+
+class SweepChainSimulation(engine.Simulation):
+    """`Simulation` with the hijack's liveness sweep queued every `SWEEP_INTERVAL` from activation.
+
+    The reference for the one sweep `run` takes at the end: each queued sweep
+    records its time and queues the next while the hijack holds, and once
+    the queue stops, the run sweeps at its final clock unless a lift did.
+    """
+
+    def _install_attack(self):
+        super()._install_attack()
+        if self.attack is not None and self.attack.kind == "hijack":  # queued right after the activation
+            self.schedule_control(self.attack.start + self.params.convergence_delay, SweepChainSimulation._next_sweep)
+
+    def _next_sweep(self):
+        self._push(self.now + engine.SWEEP_INTERVAL, SweepChainSimulation._ev_sweep, ())
+
+    def _ev_sweep(self):
+        if self._coverage is not None:
+            self.partition_attacker.sweep(self.now)
+            self._next_sweep()
+
+    def run(self):
+        super().run()
+        if self.partition_attacker.lifted_at is None:
+            self.partition_attacker.sweep(self.now)
+        return self
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([4, 6, 8]), st.integers(0, 5), st.booleans(), st.sampled_from([0.0, 0.002]),
+       st.sampled_from([0.0, 60.0, 600.0]), st.sampled_from([None, 700.0]), st.integers(0, 2**16))
+# the queue empties at 2010.095 s, past the last block's INVs; the grid's last point is 2250 s
+@example(n_as=4, blocks=4, churn=False, tx_rate=0.0, threshold=600.0, end=None, seed=0)
+def test_one_end_of_run_sweep_equals_a_queued_sweep_every_interval(n_as, blocks, churn, tx_rate, threshold,
+                                                                   end, seed):
+    raw = synth.two_halves(n_nodes=40, n_as=n_as)
+    raw["attack"] = {"kind": "partition", "target": raw["attack"]["target"],
+                     "params": {"attacker_as": n_as + 2, "end": end}}
+    raw["params"].update(blocks=blocks, block_interval_mean=300.0, drain_time=1500.0, tx_getdata_rate=tx_rate,
+                         threshold=threshold, churn={"enabled": churn, "lifetime_table": [[1.0, 900.0]]})
+    topo = tp.load_topology(raw)
+    runs = [cls(topo, seed, attack=topo.attack).run() for cls in (engine.Simulation, SweepChainSimulation)]
+    got, want = ((r.partition_attacker.swept_at, r.partition_attacker.lifted_at, r.partition_attacker.report(),
+                  metrics.summarize(r).to_dict()) for r in runs)
+    assert got == want
 
 
 # ---------------------------------------------------------------- connections --
@@ -890,12 +936,11 @@ def test_delay_attacker_takes_the_attack_then_the_params():
         sim._install_attack()
         return sim.delay_attacker
 
-    own = attacker({"restore_margin": 50.0})
+    own = attacker({})
     assert (own.victim, own.restore_margin, own.target_count) == ("victim", 1000.0, 8)
     bare = copy.deepcopy(topo.attack)
     del bare["params"]["restore_margin"]
-    assert attacker({"restore_margin": 50.0}, bare).restore_margin == 50.0
-    assert attacker({}, bare).restore_margin == tp.SimParams().restore_margin
+    assert attacker({}, bare).restore_margin == 300.0  # the margin when the attack sets none
     assert attacker({"outgoing_target": 4}).target_count == 4
 
 
@@ -919,7 +964,7 @@ def test_churn_reboots_wipe_peers_and_redial():
 
 @pytest.fixture(scope="module")
 def heal_pair():
-    raw = synth.two_halves(n_nodes=120, n_as=8, seed=0)
+    raw = synth.two_halves(n_nodes=120, n_as=8)
     free = engine.run_healing(raw, seed=0, onpath=0.0)
     sticky = engine.run_healing(raw, seed=0, onpath=0.5)
     return free, sticky
@@ -941,7 +986,7 @@ def test_onpath_dropping_slows_recovery(heal_pair):
 
 
 def test_healing_seeds_fan_out():
-    raw = synth.two_halves(n_nodes=120, n_as=8, seed=0)
+    raw = synth.two_halves(n_nodes=120, n_as=8)
     results = engine._map_tasks(engine.run_healing, [(raw, seed, 0.0) for seed in (0, 1)])
     assert sorted(r.seed for r in results) == [0, 1]
     d = results[0].to_dict()

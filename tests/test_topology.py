@@ -352,7 +352,7 @@ def test_read_attack_settles_what_the_engine_runs():
     coalition = {"kind": "delay", "target": [], "params": {"coalition": "US", "interception": 1.0}}
     assert tp.read_attack(coalition, topo) == tp.Attack("coalition", (), coalition=frozenset({1}))
     node = {"kind": "delay", "target": ["n2"], "params": {"interception": 1}}
-    assert tp.read_attack(node, topo) == tp.Attack("delay", ("n2",), interception=1.0, restore_margin=None)
+    assert tp.read_attack(node, topo) == tp.Attack("delay", ("n2",), interception=1.0, restore_margin=300.0)
     assert [tp.read_attack(a, topo).reads_tx for a in (hijack, coalition, node)] == [True, False, True]
     assert tp.read_attack(None, topo) is None
 
@@ -618,7 +618,7 @@ def test_coverage_equals_ipaddress_reference(data):
         announced.append((_subnet(near, length), length))
     graph = tp.AsGraph({1: "", 2: "", 3: ""}, {1: {3}, 2: {3}, 3: set()},
                        {1: set(), 2: set(), 3: {1, 2}}, {1: set(), 2: set(), 3: set()})
-    topo = tp.Topology(graph, [], nodes, {}, {}, None, {})
+    topo = tp.Topology(graph, nodes, {}, {}, None, {})
     seed = data.draw(st.integers(0, 2**16))
     cov = tp.hijack_coverage(topo, announced, seed=seed)
     ref = IpaddressCoverage(topo, announced, seed)
