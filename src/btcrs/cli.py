@@ -65,7 +65,7 @@ def _parse_overrides(pairs: list[str]) -> dict:
     return overrides
 
 
-def _load_topology(raw: dict, overrides: dict) -> tp.Topology:
+def _load_topology(raw, overrides: dict) -> tp.Topology:
     """Load a scenario and check the `--set` overrides with the engine's own check.
 
     `_parse_overrides` has rejected every per-key problem, so only a
@@ -79,12 +79,15 @@ def _load_topology(raw: dict, overrides: dict) -> tp.Topology:
     return topo
 
 
-def _load_scenario(path) -> dict:
+def _load_scenario(path):
+    """The decoded JSON of the scenario file at `path`: the one place a scenario file is read."""
     p = Path(path)
     if not p.exists():
         raise _CliError(SCENARIO_ERR, f"scenario not found: {p}")
     try:
-        return json.loads(p.read_text())
+        return json.loads(p.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _CliError(SCENARIO_ERR, f"{p}: cannot read scenario ({exc})") from None
     except json.JSONDecodeError as exc:
         raise _CliError(SCENARIO_ERR, f"{p}: not valid JSON ({exc})") from None
 
@@ -104,15 +107,15 @@ def _write(out, data: bytes) -> None:
         sys.stdout.buffer.flush()
 
 
-def _report_job(raw: dict, seed: int, overrides: dict | None):
-    return metrics.summarize(engine.run_scenario(raw, seed, overrides))
+def _report_job(topo: tp.Topology, seed: int, overrides: dict | None):
+    return metrics.summarize(engine.run_scenario(topo, seed, overrides))
 
 
 def _sweep_csv(cells: list[tuple[str, dict]], seeds: list[int], overrides: dict, metric: str, value) -> bytes:
-    """CSV rows of `metric` per (label, scenario) cell and seed; every cell is checked, then all run in one pool."""
-    names = [f"{_load_topology(scn, overrides).config_digest()}:{label}" for label, scn in cells]
-    reports = engine._map_tasks(_report_job, [(scn, s, overrides) for _, scn in cells for s in seeds])
-    cell_of = [name for name in names for _ in seeds]
+    """CSV rows of `metric` per (label, scenario) cell and seed; every cell is loaded once, then all run in one pool."""
+    loaded = [(label, _load_topology(scn, overrides)) for label, scn in cells]
+    reports = engine._map_tasks(_report_job, [(topo, s, overrides) for _, topo in loaded for s in seeds])
+    cell_of = [f"{topo.config_digest()}:{label}" for label, topo in loaded for _ in seeds]
     return metrics.csv_bytes((name, rep.seed, metric, value(rep)) for name, rep in zip(cell_of, reports))
 
 
@@ -123,8 +126,8 @@ def _cmd_run(args) -> int:
     raw = _load_scenario(args.scenario)
     overrides = _parse_overrides(args.set)
     seeds = _parse_seeds(args.seeds)
-    _load_topology(raw, overrides)
-    reports = engine._map_tasks(_report_job, [(raw, s, overrides) for s in seeds])
+    topo = _load_topology(raw, overrides)
+    reports = engine._map_tasks(_report_job, [(topo, s, overrides) for s in seeds])
     _write(args.out, metrics.emit(reports, args.format))
     return 0
 
@@ -156,7 +159,7 @@ def _cmd_heal(args) -> int:
     if attack is None or attack.kind not in ("perfect", "hijack") or not attack.target:
         raise _CliError(SCENARIO_ERR, "heal needs a scenario with a partition attack on a non-empty target")
     digest = topo.config_digest()
-    results = engine._map_tasks(engine.run_healing, [(raw, s, args.onpath, overrides) for s in seeds])
+    results = engine._map_tasks(engine.run_healing, [(topo, s, args.onpath, overrides) for s in seeds])
     body = {
         "config": digest,
         "onpath": args.onpath,
@@ -171,7 +174,7 @@ def _cmd_delay_node(args) -> int:
     raw = _load_scenario(args.scenario)
     topo = tp.load_topology(raw)  # validated before anything reads it
     attack = tp.read_attack(topo.attack, topo)
-    if attack is None or attack.kind != "delay" or not attack.target:
+    if attack is None or attack.kind != "delay":
         raise _CliError(SCENARIO_ERR, "delay-node needs a scenario with a single-victim delay attack")
     if "ref" not in topo.nodes:  # the victim is measured against it
         raise tp.ScenarioError("nodes: delay-node needs an attack-free reference node named 'ref'")

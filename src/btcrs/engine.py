@@ -524,9 +524,8 @@ class Simulation:
 # -- experiment drivers ------------------------------------------------------------
 
 
-def run_scenario(raw, seed: int, overrides: dict | None = None, end_time: float | None = None) -> Simulation:
-    topo = raw if isinstance(raw, tp.Topology) else tp.load_topology(raw)
-    return Simulation(topo, seed, overrides, topo.attack, end_time).run()
+def run_scenario(topo: tp.Topology, seed: int, overrides: dict | None = None) -> Simulation:
+    return Simulation(topo, seed, overrides, topo.attack).run()
 
 
 def thread_cap() -> int | None:
@@ -580,7 +579,7 @@ class HealResult:
         }
 
 
-def run_healing(raw, seed: int, onpath: float = 0.0, overrides: dict | None = None) -> HealResult:
+def run_healing(topo: tp.Topology, seed: int, onpath: float = 0.0, overrides: dict | None = None) -> HealResult:
     """Perfect partition, lift, then watch connectivity knit back together.
 
     While the partition holds, cross-boundary connections are severed and
@@ -588,7 +587,6 @@ def run_healing(raw, seed: int, onpath: float = 0.0, overrides: dict | None = No
     cross pairs keeps failing, the persistent-drop behaviour of an attacker
     who stays on the routes.  Recovery is driven entirely by churn.
     """
-    topo = raw if isinstance(raw, tp.Topology) else tp.load_topology(raw)
     side = set(tp.read_attack(topo.attack, topo).target)
     result = HealResult(seed=seed, onpath=onpath, baseline=0.0)
     end = HEAL_WARMUP + HEAL_ATTACK + HEAL_WATCH + 1.0

@@ -16,7 +16,6 @@ import json
 import math
 import random
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 _NO_FABRIC: frozenset[str] = frozenset()  # the fabric of a node in no pool
 
@@ -431,19 +430,13 @@ def check_params(params: dict, node_ids) -> None:
         _require(a != b, f"params.connections[{i}]", "a node cannot connect to itself")
 
 
-def load_topology(path: str | Path | dict) -> Topology:
-    """Parse and validate a scenario file (UTF-8 JSON).
+def load_topology(raw) -> Topology:
+    """Validate a decoded scenario document (the value `json.loads` returned) and build its `Topology`.
 
     Every validation failure names the offending JSON location, e.g.
-    ``pools[1].hash_share: hash shares sum to 0.9``.
+    ``pools[1].hash_share: hash shares sum to 0.9``; anything but a JSON
+    object fails at ``$``.
     """
-    if isinstance(path, dict):
-        raw = path
-    else:
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
     _require(isinstance(raw, dict), "$", "scenario must be a JSON object")
     for key in raw:
         _require(key in ENTRY_KEYS or key in ("params", "attack"), key, "unknown top-level key")
@@ -480,7 +473,7 @@ def load_topology(path: str | Path | dict) -> Topology:
     nets: list[tuple[ipaddress.IPv4Network, str]] = []
     for where, entry in _entries(raw, "prefixes"):
         base, length, origin = entry.get("base"), entry.get("len"), entry.get("origin_as")
-        _require(isinstance(length, int), where + ".len", "prefix length must be an integer")
+        _require(_is_int(length), where + ".len", "prefix length must be an integer")
         _require(length <= 24, where, f"prefix {base}/{length} longer than /24 (filtered Internet-wide)")
         try:
             net = ipaddress.IPv4Network(f"{base}/{length}")
@@ -512,6 +505,7 @@ def load_topology(path: str | Path | dict) -> Topology:
         _require(ip not in ips_seen, where + ".ip", f"duplicate IP {ip}")
         ips_seen.add(ip)
         home_as = entry.get("as", prefix.origin_as)
+        _require(_is_int(home_as), where + ".as", f"AS must be an integer, got {home_as!r}")
         _require(
             home_as == prefix.origin_as,
             where + ".as",
@@ -706,6 +700,7 @@ def read_attack(attack, topo: Topology) -> Attack | None:
             _require(coalition, "attack.params.coalition", f"no AS belongs to country {ap['coalition']!r}")
     else:
         _require(targets, "attack.target", "a delay attack needs a victim or params.coalition")
+        _require(len(targets) == 1, "attack.target", f"a delay attack has exactly one victim, got {len(targets)}")
     direction = ap.get("direction", "outgoing")
     _require(direction in ("outgoing", "incoming"), "attack.params.direction",
              f"must be outgoing or incoming, got {direction!r}")

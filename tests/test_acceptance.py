@@ -37,8 +37,8 @@ def check(criterion, ok, detail):
 
 def test_criterion_1_healthy_baseline():
     t0 = perf_counter()
-    raw = load("paperlike.scn")
-    reports = [metrics.summarize(engine.run_scenario(raw, seed)) for seed in range(20)]
+    topo = tp.load_topology(load("paperlike.scn"))
+    reports = [metrics.summarize(engine.run_scenario(topo, seed)) for seed in range(20)]
     elapsed = perf_counter() - t0
     orphan = statistics.mean(r.orphan_rate for r in reports)
     p50 = statistics.mean(r.prop_delay_p50 for r in reports)
@@ -59,7 +59,7 @@ def test_criterion_2_partition_matches_planner():
         topo = tp.load_topology(raw)
         targets = set(raw["attack"]["target"])
         expect = planner.maximal_isolatable(topo, targets)
-        res = engine.run_scenario(raw, seed=case)
+        res = engine.run_scenario(topo, seed=case)
         rep = res.partition_attacker.report()
         kept = targets - set(rep["leaked"])
         matches += kept == expect
@@ -77,7 +77,8 @@ def test_criterion_2_partition_matches_planner():
 
 def seed_means(cells, value):
     """Mean of `value(report)` over seeds 0..19 for each (key, scenario) cell; all runs share one pool."""
-    tasks = [(scn, seed, None) for _, scn in cells for seed in range(20)]
+    topos = [tp.load_topology(scn) for _, scn in cells]
+    tasks = [(topo, seed, None) for topo in topos for seed in range(20)]
     vals = [value(rep) for rep in engine._map_tasks(cli._report_job, tasks)]
     return {key: statistics.mean(vals[20 * i : 20 * (i + 1)]) for i, (key, _) in enumerate(cells)}
 
@@ -141,8 +142,8 @@ def test_criterion_4_exact_timeout_mechanics():
     leg = 0.5 + 0.5  # base_delay + one inter-AS hop, exact in binary
 
     # incoming corruption: victim never gets a valid copy, walks at +1200 s sharp
-    raw = duet("incoming")
-    full = engine.run_scenario(raw, seed=0)
+    topo = tp.load_topology(duet("incoming"))
+    full = engine.run_scenario(topo, seed=0)
     b = full.mined[0]
     deadline = (b.created + leg) + 1200.0  # INV arrival = request time
     starved = (
@@ -151,8 +152,8 @@ def test_criterion_4_exact_timeout_mechanics():
         and full.disconnects == 1
         and not full.nodes["v"].peers
     )
-    before = engine.run_scenario(raw, seed=0, end_time=math.nextafter(deadline, 0.0))
-    at = engine.run_scenario(raw, seed=0, end_time=deadline)
+    before = engine.Simulation(topo, 0, attack=topo.attack, end_time=math.nextafter(deadline, 0.0)).run()
+    at = engine.Simulation(topo, 0, attack=topo.attack, end_time=deadline).run()
     exact = (
         before.nodes["v"].pending[b.hash].deadline == deadline
         and "p" in before.nodes["v"].peers
@@ -160,7 +161,7 @@ def test_criterion_4_exact_timeout_mechanics():
     )
 
     # outgoing rewrite with tx chatter: block restored late, no disconnect
-    res = engine.run_scenario(duet("outgoing", tx_rate=0.02), seed=0)
+    res = engine.run_scenario(tp.load_topology(duet("outgoing", tx_rate=0.02)), seed=0)
     b2 = res.mined[0]
     arrival = res.nodes["v"].chain.arrival.get(b2.hash)
     restored = (
@@ -202,11 +203,11 @@ def test_criterion_5_multihoming_ordering():
 
 def test_criterion_6_healing_band_and_onpath_drag():
     t0 = perf_counter()
-    raw = load("twohalves.scn")
+    topo = tp.load_topology(load("twohalves.scn"))
     free_ratios, pairs_below = [], 0
     for seed in range(20):
-        free = engine.run_healing(raw, seed, onpath=0.0)
-        sticky = engine.run_healing(raw, seed, onpath=0.28)
+        free = engine.run_healing(topo, seed, onpath=0.0)
+        sticky = engine.run_healing(topo, seed, onpath=0.28)
         free_ratios.append(free.final_ratio)
         pairs_below += sticky.final_ratio < free.final_ratio
     elapsed = perf_counter() - t0

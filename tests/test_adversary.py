@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import json
 import random
 from collections import namedtuple
 
@@ -329,7 +330,7 @@ def test_node_mode_interception_bookkeeping():
 
 
 def test_coalition_follows_as_paths():
-    topo = tp.load_topology(SCN / "paperlike.scn")
+    topo = tp.load_topology(json.loads((SCN / "paperlike.scn").read_text()))
     a = adv.DelayAttacker(tp.Attack("coalition", (), coalition=frozenset({3, 7})), PARAMS, topo)
     assert a.intercepts("A", "H")  # AS1 -> AS4 transits through 3 and 7
     assert not a.intercepts("A", "C")  # AS1 -> AS2 is a direct peering

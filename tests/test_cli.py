@@ -42,6 +42,20 @@ def test_invalid_scenario_content_is_scenario_error(tmp_path):
     assert run_cli("run", "--scenario", str(bad)) == 3
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[1, 2]", json.dumps(PAPERLIKE).encode(), None],
+                         ids=["non-utf8", "array", "string-naming-a-scenario", "directory"])
+def test_unloadable_scenario_file_is_scenario_error_before_any_seed_runs(tmp_path, capsys, monkeypatch, content):
+    bad = tmp_path / "bad.scn"
+    if content is None:
+        bad.mkdir()
+    else:
+        bad.write_bytes(content)
+    monkeypatch.setattr(cli, "_report_job", lambda *task: pytest.fail("a seed ran"))
+    assert run_cli("run", "--scenario", str(bad), "--seeds", "0") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_bad_seed_range_is_usage_error():
     assert run_cli("run", "--scenario", PAPERLIKE, "--seeds", "5..1") == 2
     assert run_cli("run", "--scenario", PAPERLIKE, "--seeds", "abc") == 2
@@ -127,6 +141,20 @@ def test_thread_count_does_not_change_output(tmp_path, monkeypatch):
         out = tmp_path / f"r{threads}.json"
         assert run_cli("run", "--scenario", PAPERLIKE, "--seeds", "0..1",
                        "--set", "blocks=3", "--out", str(out)) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("heal", "--scenario", TWOHALVES, "--seeds", "0..1"),
+    ("multihoming-sweep", "--scenario", PAPERLIKE, "--degrees", "1,3", "--coalition", "US", "--seeds", "0..1"),
+], ids=["heal", "multihoming-sweep"])
+def test_thread_count_does_not_change_heal_or_sweep_output(tmp_path, monkeypatch, argv):
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("BTCRS_THREADS", threads)
+        out = tmp_path / f"out{threads}"
+        assert run_cli(*argv, "--out", str(out)) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
 

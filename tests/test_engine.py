@@ -35,9 +35,9 @@ def tiny_world(n=6, connections=None, params=None):
 
 
 def test_same_seed_same_run():
-    raw = paperlike()
-    a = engine.run_scenario(raw, seed=7)
-    b = engine.run_scenario(raw, seed=7)
+    topo = tp.load_topology(paperlike())
+    a = engine.run_scenario(topo, seed=7)
+    b = engine.run_scenario(topo, seed=7)
     assert [(m.created, m.hash, m.miner) for m in a.mined] == [
         (m.created, m.hash, m.miner) for m in b.mined
     ]
@@ -46,18 +46,18 @@ def test_same_seed_same_run():
 
 
 def test_different_seeds_differ():
-    raw = paperlike()
-    a = engine.run_scenario(raw, seed=1)
-    b = engine.run_scenario(raw, seed=2)
+    topo = tp.load_topology(paperlike())
+    a = engine.run_scenario(topo, seed=1)
+    b = engine.run_scenario(topo, seed=2)
     assert [m.created for m in a.mined] != [m.created for m in b.mined]
 
 
 def test_config_digest_tracks_content():
     raw = paperlike()
-    d1 = engine.run_scenario(raw, seed=0).topo.config_digest()
+    d1 = engine.run_scenario(tp.load_topology(raw), seed=0).topo.config_digest()
     raw2 = copy.deepcopy(raw)
     raw2["params"]["per_hop_delay"] = 9.9
-    d2 = engine.run_scenario(raw2, seed=0).topo.config_digest()
+    d2 = engine.run_scenario(tp.load_topology(raw2), seed=0).topo.config_digest()
     assert d1 != d2 and len(d1) == 16
 
 
@@ -477,10 +477,10 @@ def test_fabric_link_is_instant_and_unseen_by_the_attacker():
 @pytest.mark.parametrize("onpath", [0.0, 0.5])
 def test_healing_equals_reference_dial_and_crossing_count(monkeypatch, onpath):
     # isolate's veto holds for an hour, then `onpath` keeps vetoing a seeded share of cross pairs
-    raw = synth.two_halves(n_nodes=60, n_as=6)
-    want = engine.run_healing(raw, seed=2, onpath=onpath).to_dict()
+    topo = tp.load_topology(synth.two_halves(n_nodes=60, n_as=6))
+    want = engine.run_healing(topo, seed=2, onpath=onpath).to_dict()
     monkeypatch.setattr(engine, "Simulation", HeapSimulation)
-    assert engine.run_healing(raw, seed=2, onpath=onpath).to_dict() == want
+    assert engine.run_healing(topo, seed=2, onpath=onpath).to_dict() == want
 
 
 NODE_DELAY = {"kind": "delay", "target": ["n1"], "params": {"interception": 1.0}}
@@ -574,7 +574,7 @@ def test_lone_peer_of_the_sender_still_records_its_tip():
     # accept_block returns no action there, yet the end's tip moves
     conns = [["n1", "n2"], ["n2", "n3"], ["n3", "n4"], ["n4", "n5"], ["n5", "n6"]]
     raw = tiny_world(connections=conns)
-    res = engine.run_scenario(raw, seed=1)
+    res = engine.run_scenario(tp.load_topology(raw), seed=1)
     for end in ("n1", "n6"):
         assert [h for _, h in metrics.tip_series(res.nodes[end].chain)] == list(range(len(res.mined) + 1))
     _assert_same_as_heap(raw, seed=1)
@@ -584,7 +584,7 @@ def test_held_blocks_keep_no_advertisers():
     raw = synth.two_halves(n_nodes=60, n_as=6)
     del raw["attack"]
     raw["params"].update(blocks=4, block_interval_mean=120.0, drain_time=1500.0)
-    res = engine.run_scenario(raw, seed=0)
+    res = engine.run_scenario(tp.load_topology(raw), seed=0)
     assert len(res.mined) == 4
     for node in res.nodes.values():
         assert not any(h in node.chain.arrival for h in node.advertisers)
@@ -639,7 +639,7 @@ def test_tip_series_from_arrivals_equals_a_recorded_tip_log(data, seed):
 
 @pytest.mark.parametrize("raw", [paperlike(), tiny_world()], ids=["paperlike", "tiny"])
 def test_all_nodes_share_one_block_table_of_genesis_and_mined(raw):
-    sim = engine.run_scenario(raw, seed=3)
+    sim = engine.run_scenario(tp.load_topology(raw), seed=3)
     tables = {id(n.chain.known) for n in sim.nodes.values()}
     assert tables == {id(sim.known)}
     assert sorted(sim.known) == sorted([pr.GENESIS.hash] + [b.hash for b in sim.mined])
@@ -648,7 +648,7 @@ def test_all_nodes_share_one_block_table_of_genesis_and_mined(raw):
 
 def test_chain_view_has_no_per_node_block_table():
     # `arrival` is the held set; a read of a per-node `blocks` table must fail, not walk the run's table
-    sim = engine.run_scenario(tiny_world(), seed=0)
+    sim = engine.run_scenario(tp.load_topology(tiny_world()), seed=0)
     for chain in (pr.ChainView(), pr.Node("n").chain, sim.nodes["n1"].chain):
         assert not hasattr(chain, "blocks")
         assert set(chain.arrival) <= set(chain.known)
@@ -667,9 +667,9 @@ def test_hijack_lifted_before_it_takes_effect_lifts_as_it_takes_effect():
     raw["attack"] = {"kind": "partition", "target": raw["attack"]["target"],
                      "params": {"attacker_as": 8, "start": 0.0, "end": 100.0}}
     raw["params"].update(blocks=4, block_interval_mean=120.0, drain_time=1500.0)
-    early = engine.run_scenario(raw, seed=0, overrides={"convergence_delay": 300.0})
+    early = engine.run_scenario(tp.load_topology(raw), seed=0, overrides={"convergence_delay": 300.0})
     raw["attack"]["params"]["end"] = 300.0
-    on_time = engine.run_scenario(raw, seed=0, overrides={"convergence_delay": 300.0})
+    on_time = engine.run_scenario(tp.load_topology(raw), seed=0, overrides={"convergence_delay": 300.0})
     assert early.partition_attacker.report() == on_time.partition_attacker.report()
     assert (early.partition_attacker.forwarded, early.partition_attacker.dropped) == (0, 0)
     assert [b.hash for b in early.mined] == [b.hash for b in on_time.mined]
@@ -698,9 +698,10 @@ def test_hijack_with_an_end_reports_its_outcome_as_of_the_lift(seed):
                      "params": {"attacker_as": 8, "start": 0.0}}
     raw["params"].update(blocks=8, block_interval_mean=300.0, drain_time=1500.0, convergence_delay=0.0)
     lift = 20 * engine.SWEEP_INTERVAL  # a sweep time, so the cut-off run sweeps there too
-    cut = metrics.summarize(engine.run_scenario(raw, seed, end_time=lift)).partition
+    topo = tp.load_topology(raw)
+    cut = metrics.summarize(engine.Simulation(topo, seed, attack=topo.attack, end_time=lift).run()).partition
     raw["attack"]["params"]["end"] = lift
-    run = engine.run_scenario(raw, seed)
+    run = engine.run_scenario(tp.load_topology(raw), seed)
     assert run.partition_attacker.lifted_at == lift
     assert run.now > lift + run.params.threshold
     assert metrics.summarize(run).partition == cut
@@ -759,7 +760,7 @@ def test_one_end_of_run_sweep_equals_a_queued_sweep_every_interval(n_as, blocks,
 
 def test_explicit_connections_are_respected():
     conns = [["n1", "n2"], ["n2", "n3"], ["n3", "n4"], ["n4", "n5"], ["n5", "n6"]]
-    res = engine.run_scenario(tiny_world(connections=conns), seed=0)
+    res = engine.run_scenario(tp.load_topology(tiny_world(connections=conns)), seed=0)
     for a, b in conns:
         assert b in res.nodes[a].peers and a in res.nodes[b].peers
     # a line of 6 nodes: the ends keep exactly one peer, nobody dialed extra
@@ -770,7 +771,7 @@ def test_explicit_connections_are_respected():
 def test_random_dialing_avoids_own_slash16_group():
     raw = tiny_world()
     ip_group = {n["id"]: n["ip"].split(".")[1] for n in raw["nodes"]}
-    res = engine.run_scenario(raw, seed=3)
+    res = engine.run_scenario(tp.load_topology(raw), seed=3)
     for nid, node in res.nodes.items():
         groups = [ip_group[p] for p in node.outgoing]
         assert len(groups) == len(set(groups)), f"{nid} dialed twice into one /16"
@@ -826,9 +827,8 @@ def test_dial_with_nothing_eligible_draws_24_times_then_gives_up():
 
 
 def test_pool_gateways_form_a_clique():
-    raw = paperlike()
-    res = engine.run_scenario(raw, seed=0)
-    topo = tp.load_topology(raw)
+    topo = tp.load_topology(paperlike())
+    res = engine.run_scenario(topo, seed=0)
     for pool in topo.pools.values():
         for i, a in enumerate(pool.gateways):
             for b in pool.gateways[i + 1:]:
@@ -836,7 +836,7 @@ def test_pool_gateways_form_a_clique():
 
 
 def test_blocks_converge_without_attack():
-    res = engine.run_scenario(tiny_world(), seed=1)
+    res = engine.run_scenario(tp.load_topology(tiny_world()), seed=1)
     tips = {node.chain.tip.hash for node in res.nodes.values()}
     assert len(tips) == 1, "healthy network should agree on the tip"
     assert len(res.mined) == 5
@@ -915,7 +915,7 @@ def test_heap_reference_never_reaches_the_announce_path(monkeypatch):
 
 
 def test_overrides_change_params():
-    res = engine.run_scenario(tiny_world(), seed=0, overrides={"blocks": 2})
+    res = engine.run_scenario(tp.load_topology(tiny_world()), seed=0, overrides={"blocks": 2})
     assert len(res.mined) == 2
 
 
@@ -925,11 +925,12 @@ def test_overrides_change_params():
 ], ids=["unknown-key", "unknown-node"])
 def test_overrides_are_checked_like_set(overrides, error):
     with pytest.raises(tp.ScenarioError, match=error):
-        engine.run_scenario(tiny_world(), seed=0, overrides=overrides)
+        engine.run_scenario(tp.load_topology(tiny_world()), seed=0, overrides=overrides)
 
 
 def test_delay_attacker_takes_the_attack_then_the_params():
-    topo = tp.load_topology(SCENARIOS / "delaynode.scn")  # its attack sets restore_margin 1000
+    # the shipped attack sets restore_margin 1000
+    topo = tp.load_topology(json.loads((SCENARIOS / "delaynode.scn").read_text()))
 
     def attacker(overrides, attack=topo.attack):
         sim = engine.Simulation(topo, seed=0, overrides=overrides, attack=attack)
@@ -953,9 +954,9 @@ def test_churn_reboots_wipe_peers_and_redial():
         "drain_time": 40_000.0,
         "churn": {"enabled": True, "lifetime_table": [[1.0, 3600.0]]},
     }
-    res = engine.run_scenario(tiny_world(params=params), seed=2)
+    res = engine.run_scenario(tp.load_topology(tiny_world(params=params)), seed=2)
     assert res.disconnects > 0, "reboots must tear connections down"
-    base = engine.run_scenario(tiny_world(), seed=2)
+    base = engine.run_scenario(tp.load_topology(tiny_world()), seed=2)
     assert res.dials > base.dials, "rebooted nodes dial fresh peers"
 
 
@@ -964,9 +965,9 @@ def test_churn_reboots_wipe_peers_and_redial():
 
 @pytest.fixture(scope="module")
 def heal_pair():
-    raw = synth.two_halves(n_nodes=120, n_as=8)
-    free = engine.run_healing(raw, seed=0, onpath=0.0)
-    sticky = engine.run_healing(raw, seed=0, onpath=0.5)
+    topo = tp.load_topology(synth.two_halves(n_nodes=120, n_as=8))
+    free = engine.run_healing(topo, seed=0, onpath=0.0)
+    sticky = engine.run_healing(topo, seed=0, onpath=0.5)
     return free, sticky
 
 
@@ -986,8 +987,8 @@ def test_onpath_dropping_slows_recovery(heal_pair):
 
 
 def test_healing_seeds_fan_out():
-    raw = synth.two_halves(n_nodes=120, n_as=8)
-    results = engine._map_tasks(engine.run_healing, [(raw, seed, 0.0) for seed in (0, 1)])
+    topo = tp.load_topology(synth.two_halves(n_nodes=120, n_as=8))
+    results = engine._map_tasks(engine.run_healing, [(topo, seed, 0.0) for seed in (0, 1)])
     assert sorted(r.seed for r in results) == [0, 1]
     d = results[0].to_dict()
     assert set(d) == {"seed", "onpath", "baseline_cross_fraction", "samples", "final_ratio"}

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import worlds
 
 from btcrs import engine, metrics
+from btcrs import topology as tp
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -72,14 +73,14 @@ def test_uninformed_stays_in_unit_interval(a, b, until):
 def test_p50_is_three_legs_on_a_full_mesh():
     # INV, GETDATA, BLOCK: three one-way trips, each base + hop x two inter-AS
     # edges (every route goes via the hub)
-    res = engine.run_scenario(mesh3(base=0.1, hop=0.4), seed=4)
+    res = engine.run_scenario(tp.load_topology(mesh3(base=0.1, hop=0.4)), seed=4)
     p50, partial = metrics.p50_propagation(res)
     assert p50 == pytest.approx(3 * (0.1 + 2 * 0.4))
     assert partial is False
 
 
 def test_p50_flags_blocks_that_never_spread():
-    res = engine.run_scenario(mesh3(), seed=4)
+    res = engine.run_scenario(tp.load_topology(mesh3()), seed=4)
     lonely = res.mined[0]  # keep a real block, but hide it from everyone
     for node in res.nodes.values():
         node.chain.arrival.pop(lonely.hash, None)
@@ -94,7 +95,7 @@ def test_p50_flags_blocks_that_never_spread():
 @pytest.fixture(scope="module")
 def paperlike_report():
     raw = json.loads((SCENARIOS / "paperlike.scn").read_text())
-    res = engine.run_scenario(raw, seed=0)
+    res = engine.run_scenario(tp.load_topology(raw), seed=0)
     return metrics.summarize(res), res
 
 

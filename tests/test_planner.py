@@ -6,6 +6,7 @@ per-prefix search in btcrs.planner.
 """
 
 import ipaddress
+import json
 import random
 from pathlib import Path
 
@@ -65,7 +66,7 @@ def test_stealth_paths_chain_through_intermediaries():
 
 
 def test_paperlike_partition_example():
-    topo = tp.load_topology(SCENARIOS / "paperlike.scn")
+    topo = tp.load_topology(json.loads((SCENARIOS / "paperlike.scn").read_text()))
     P = {"A", "B", "C", "D", "E", "F"}
     feasible, violations = planner.is_feasible(topo, P)
     assert not feasible

@@ -73,12 +73,12 @@ def test_generated_scenarios_validate(scenario_schema):
 
 def test_run_report_validates(report_schema):
     raw = json.loads((ROOT / "scenarios" / "paperlike.scn").read_text())
-    reports = [metrics.summarize(engine.run_scenario(raw, s)) for s in (0, 1)]
+    reports = [metrics.summarize(engine.run_scenario(tp.load_topology(raw), s)) for s in (0, 1)]
     jsonschema.validate(json.loads(metrics.emit(reports)), report_schema)
 
 
 def test_partition_report_validates(report_schema):
     raw = worlds.random_partition_case(seed=3)
-    rep = metrics.summarize(engine.run_scenario(raw, seed=3))
+    rep = metrics.summarize(engine.run_scenario(tp.load_topology(raw), seed=3))
     assert rep.partition is not None
     jsonschema.validate(json.loads(metrics.emit(rep)), report_schema)

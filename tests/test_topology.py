@@ -289,6 +289,12 @@ def test_load_minimal_scenario():
         # the missing 0.9 would go silently to the last row
         ({"params": {"churn": {"lifetime_table": [[0.1, 10.0]]}}},
          "params.churn: lifetime_table probabilities must sum to 1, got 0.1"),
+        # a bool or a float equal to the origin AS used to load as the node's home AS
+        *(({"nodes": [{"id": "n1", "ip": "10.1.0.1", "prefix": "10.1.0.0/16", "as": home}]}, "nodes[0].as")
+          for home in (True, 1.0)),
+        ({"prefixes": [{"base": "10.1.0.0", "len": True, "origin_as": 1}]}, "prefixes[0].len"),
+        # every reader of a delay attack's victim reads one node
+        ({"attack": {"kind": "delay", "target": ["n1", "n2"]}}, "attack.target: a delay attack has exactly one victim"),
     ],
 )
 def test_scenario_validation_errors(mutation, fragment):
@@ -416,7 +422,7 @@ def test_mutated_shipped_scenarios_are_rejected_or_run(data):
         topo = tp.load_topology(raw)
     except tp.ScenarioError:
         return
-    metrics.summarize(engine.run_scenario(topo, seed=0, end_time=600.0))
+    metrics.summarize(engine.Simulation(topo, 0, attack=topo.attack, end_time=600.0).run())
 
 
 def test_hash_share_sum_error_message():
@@ -670,7 +676,7 @@ def test_classify_stealth_kinds():
 
 
 def test_paperlike_fixture_shape():
-    topo = tp.load_topology(SCENARIOS / "paperlike.scn")
+    topo = tp.load_topology(json.loads((SCENARIOS / "paperlike.scn").read_text()))
     assert len(topo.graph.as_ids) == 8
     red = topo.pools["red"]
     assert set(red.gateways) == {"I", "J", "F"}
