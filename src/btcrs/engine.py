@@ -20,6 +20,10 @@ The record is decided on the link's first send and kept until a connect
 resets it; a hijack's activation and lift reset every live link, since they
 change the diversion verdict.
 
+A `perfect` attack with an `end`, such as partition healing's, also samples
+the cross-partition connection fraction into `Simulation.cross_series`: a
+baseline before the cut, then every `HEAL_SAMPLE_EVERY` from the lift on.
+
 A hijack's liveness sweep only records its time, so none is queued: a lift
 takes one, or else `run` does at the end, at the later of the last event and
 the last point by the horizon of the `SWEEP_INTERVAL` grid from activation.
@@ -35,11 +39,12 @@ must be added to `Attack.reads_tx`.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import gc
 import heapq
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import planner
@@ -49,6 +54,10 @@ from . import wire
 from .adversary import DelayAttacker, PartitionAttacker
 
 SWEEP_INTERVAL = 60.0
+HEAL_WARMUP = 1800.0  # partition healing cuts here, lifts HEAL_ATTACK later and watches HEAL_WATCH more
+HEAL_ATTACK = 3600.0
+HEAL_WATCH = 36_000.0
+HEAL_SAMPLE_EVERY = 1800.0  # between the cross-partition samples after a perfect attack's lift
 
 
 class Link(NamedTuple):
@@ -71,10 +80,14 @@ class Simulation:
 
     `overrides` replace entries of the scenario's `params` block; a key or
     value that `--set` would refuse raises ScenarioError naming `params.<key>`.
+    `attack` is a typed `topology.Attack` (a scenario's by `read_attack`) or None.
     """
 
     def __init__(self, topo: tp.Topology, seed: int, overrides: dict | None = None,
-                 attack: dict | None = None, end_time: float | None = None):
+                 attack: tp.Attack | None = None, end_time: float | None = None):
+        if attack is not None and not isinstance(attack, tp.Attack):
+            raise TypeError(f"attack must be a topology.Attack or None, not {type(attack).__name__}; "
+                            "a scenario's attack block becomes one by topology.read_attack")
         overrides = overrides or {}
         tp.check_params(overrides, topo.nodes)
         self.topo = topo
@@ -90,7 +103,7 @@ class Simulation:
         self.rng_net = random.Random(f"{seed}:net")
         # a per-node stream only for the processes `_schedule_initial` starts
         self._churn_on = bool((self.params.churn or {}).get("enabled"))
-        self.attack = tp.read_attack(attack, topo)  # the run's typed attack, None without one
+        self.attack = attack
         self._tx_on = self.params.tx_getdata_rate > 0 and self.attack is not None and self.attack.reads_tx
         self._tx_rng = {n: random.Random(f"{seed}:tx:{n}") for n in self._node_order} if self._tx_on else {}
         self._churn_rng = ({n: random.Random(f"{seed}:churn:{n}") for n in self._node_order}
@@ -103,6 +116,7 @@ class Simulation:
         self.mined: list[pr.Block] = []
         self.dials = 0
         self.disconnects = 0
+        self.cross_series: list[tuple[float, float]] = []  # a perfect attack's (now - end, cross fraction)
         self.horizon: float | None = end_time
         if self.params.blocks == 0 and end_time is None:
             self.horizon = self.params.drain_time
@@ -240,16 +254,13 @@ class Simulation:
             crossing += len(out) - inside if nid in side else inside
         return crossing / total if total else 0.0
 
-    def sever_crossing(self, side: set[str]) -> None:
+    def isolate(self, side: set[str]) -> None:
+        """Perfect partition: sever every connection across `side` and veto dials across it."""
+        self.dial_veto = lambda a, b: (a in side) != (b in side)
         for a in self._node_order:
             for b in sorted(self.nodes[a].peers):
                 if a < b and ((a in side) != (b in side)):
                     self._disconnect(a, b)
-
-    def isolate(self, side: set[str]) -> None:
-        """Perfect partition: sever every connection across `side` and veto dials across it."""
-        self.dial_veto = lambda a, b: (a in side) != (b in side)
-        self.sever_crossing(side)
 
     # ---- attacks ----
 
@@ -259,14 +270,13 @@ class Simulation:
             return
         targets = attack.target
         if attack.kind == "perfect":
-            side = set(targets)
-
-            def lift(sim: "Simulation") -> None:
-                sim.dial_veto = None
-
-            self.schedule_control(attack.start, lambda sim: sim.isolate(side))
-            if attack.end is not None:
-                self.schedule_control(attack.end, lift)
+            side, end = set(targets), attack.end
+            if end is not None:  # the baseline, a second before the cut
+                self._push(max(attack.start - 1.0, 0.0), Simulation._ev_sample, (side, end))
+            self._push(attack.start, Simulation.isolate, (side,))
+            if end is not None:
+                self._push(end, Simulation._ev_lift, (side, attack.onpath))
+                self._push(end + HEAL_SAMPLE_EVERY, Simulation._ev_sample, (side, end))
         elif attack.kind == "hijack":
             announced = attack.announced
             if announced is None:
@@ -290,6 +300,20 @@ class Simulation:
                 self.schedule_control(max(attack.end, active_at), deactivate)
         else:  # delay or coalition
             self.delay_attacker = DelayAttacker(attack, self.params, self.topo)
+
+    def _ev_lift(self, side: set[str], onpath: float) -> None:
+        """Lift a perfect partition; a seeded `onpath` share of the pairs across `side` stays vetoed."""
+        self.dial_veto = None
+        if onpath > 0.0:
+            seed = self.seed  # each pair's verdict is drawn once, from its own stream
+            vetoed = functools.cache(lambda lo, hi: random.Random(f"{seed}:onpath:{lo}:{hi}").random() < onpath)
+            self.dial_veto = lambda a, b: (a in side) != (b in side) and (vetoed(a, b) if a < b else vetoed(b, a))
+
+    def _ev_sample(self, side: set[str], end: float) -> None:
+        """Record `(now - end, cross_fraction(side))`; a sample after the lift queues the next one."""
+        self.cross_series.append((self.now - end, self.cross_fraction(side)))
+        if self.now > end:
+            self._push(self.now + HEAL_SAMPLE_EVERY, Simulation._ev_sample, (side, end))
 
     # ---- event handlers ----
 
@@ -525,7 +549,7 @@ class Simulation:
 
 
 def run_scenario(topo: tp.Topology, seed: int, overrides: dict | None = None) -> Simulation:
-    return Simulation(topo, seed, overrides, topo.attack).run()
+    return Simulation(topo, seed, overrides, tp.read_attack(topo.attack, topo)).run()
 
 
 def thread_cap() -> int | None:
@@ -552,18 +576,13 @@ def _map_tasks(fn, tasks: list[tuple]) -> list:
 
 # -- partition recovery ------------------------------------------------------------
 
-HEAL_WARMUP = 1800.0
-HEAL_ATTACK = 3600.0
-HEAL_WATCH = 36_000.0
-HEAL_SAMPLE_EVERY = 1800.0
-
 
 @dataclass
 class HealResult:
     seed: int
     onpath: float
     baseline: float
-    samples: list[tuple[float, float]] = field(default_factory=list)
+    samples: list[tuple[float, float]]
 
     @property
     def final_ratio(self) -> float:
@@ -580,48 +599,16 @@ class HealResult:
 
 
 def run_healing(topo: tp.Topology, seed: int, onpath: float = 0.0, overrides: dict | None = None) -> HealResult:
-    """Perfect partition, lift, then watch connectivity knit back together.
+    """Perfect partition of the scenario's target set, lift, then watch connectivity knit back together.
 
-    While the partition holds, cross-boundary connections are severed and
-    cross-boundary dials fail.  After lifting, a seeded `onpath` fraction of
-    cross pairs keeps failing, the persistent-drop behaviour of an attacker
-    who stays on the routes.  Recovery is driven entirely by churn.
+    The run is a `perfect` attack with an end: while it holds, cross-boundary
+    connections are severed and cross-boundary dials fail.  After the lift,
+    a seeded `onpath` share of cross pairs (`Attack.onpath`) keeps failing,
+    the persistent-drop behaviour of an attacker who stays on the routes.
+    Recovery is driven entirely by churn.  Baseline and samples are its `cross_series`.
     """
-    side = set(tp.read_attack(topo.attack, topo).target)
-    result = HealResult(seed=seed, onpath=onpath, baseline=0.0)
-    end = HEAL_WARMUP + HEAL_ATTACK + HEAL_WATCH + 1.0
-    sim = Simulation(topo, seed, overrides, end_time=end)
-
-    verdicts: dict[tuple[str, str], bool] = {}
-
-    def suppressed(a: str, b: str) -> bool:
-        pair = (a, b) if a < b else (b, a)
-        hit = verdicts.get(pair)
-        if hit is None:
-            lo, hi = pair
-            hit = random.Random(f"{seed}:onpath:{lo}:{hi}").random() < onpath
-            verdicts[pair] = hit
-        return hit
-
-    def measure_baseline(s: Simulation) -> None:
-        result.baseline = s.cross_fraction(side)
-
-    def lift(s: Simulation) -> None:
-        if onpath > 0.0:
-            s.dial_veto = lambda a, b: ((a in side) != (b in side)) and suppressed(a, b)
-        else:
-            s.dial_veto = None
-
-    def sample(s: Simulation) -> None:
-        result.samples.append((s.now - HEAL_WARMUP - HEAL_ATTACK, s.cross_fraction(side)))
-
-    sim.schedule_control(HEAL_WARMUP - 1.0, measure_baseline)
-    sim.schedule_control(HEAL_WARMUP, lambda s: s.isolate(side))
-    lift_at = HEAL_WARMUP + HEAL_ATTACK
-    sim.schedule_control(lift_at, lift)
-    t = lift_at + HEAL_SAMPLE_EVERY
-    while t <= lift_at + HEAL_WATCH:
-        sim.schedule_control(t, sample)
-        t += HEAL_SAMPLE_EVERY
-    sim.run()
-    return result
+    target = tp.read_attack(topo.attack, topo).target
+    attack = tp.Attack("perfect", target, HEAL_WARMUP, HEAL_WARMUP + HEAL_ATTACK, onpath=onpath)
+    sim = Simulation(topo, seed, overrides, attack, end_time=attack.end + HEAL_WATCH + 1.0).run()
+    (_, baseline), *samples = sim.cross_series
+    return HealResult(seed, onpath, baseline, samples)

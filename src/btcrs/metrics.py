@@ -182,6 +182,7 @@ def summarize(run) -> MetricsReport:
         prop_delay_p50=p50,
         prop_delay_partial=flagged,
         uninformed=uninformed,
+        cross_partition_series=run.cross_series,
         blocks_mined=blocks_mined,
         blocks_in_chain=blocks_in_chain,
         partition=partition,

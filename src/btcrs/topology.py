@@ -617,7 +617,8 @@ class Attack:
     `kind` is `perfect` or `hijack` (a partition of `target` from `start` to
     `end`), `delay` (tampering with victim `target[0]`'s block requests) or
     `coalition` (tampering on every route through the ASes of `coalition`).
-    `announced` None covers the target set.
+    `announced` None covers the target set.  `onpath`, set by `engine.run_healing`
+    alone, is the share of cross pairs a `perfect` attack still vetoes after its lift.
     """
 
     kind: str
@@ -630,6 +631,7 @@ class Attack:
     direction: str = "outgoing"
     interception: float = 1.0
     restore_margin: float = 300.0  # seconds after a swap that a `delay` attack may still restore it
+    onpath: float = 0.0
 
     @property
     def reads_tx(self) -> bool:

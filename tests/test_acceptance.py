@@ -152,8 +152,9 @@ def test_criterion_4_exact_timeout_mechanics():
         and full.disconnects == 1
         and not full.nodes["v"].peers
     )
-    before = engine.Simulation(topo, 0, attack=topo.attack, end_time=math.nextafter(deadline, 0.0)).run()
-    at = engine.Simulation(topo, 0, attack=topo.attack, end_time=deadline).run()
+    attack = tp.read_attack(topo.attack, topo)
+    before = engine.Simulation(topo, 0, attack=attack, end_time=math.nextafter(deadline, 0.0)).run()
+    at = engine.Simulation(topo, 0, attack=attack, end_time=deadline).run()
     exact = (
         before.nodes["v"].pending[b.hash].deadline == deadline
         and "p" in before.nodes["v"].peers

@@ -1,6 +1,7 @@
 """Event loop behaviour: determinism, dialing rules, churn, healing phases."""
 
 import copy
+import dataclasses
 import gc
 import heapq
 import json
@@ -101,11 +102,18 @@ def _hijack_with_an_end():
     return raw
 
 
+def _perfect_with_an_end():
+    raw = synth.two_halves(n_nodes=60, n_as=6)
+    raw["attack"]["params"].update(start=300.0, end=900.0)
+    return raw
+
+
 SHIPPED = sorted(SCENARIOS.glob("*.scn"))
 
 
-@pytest.mark.parametrize("raw", [json.loads(p.read_text()) for p in SHIPPED] + [_hijack_with_an_end()],
-                         ids=[p.stem for p in SHIPPED] + ["hijack"])
+@pytest.mark.parametrize("raw", [json.loads(p.read_text()) for p in SHIPPED] + [_hijack_with_an_end(),
+                                                                                _perfect_with_an_end()],
+                         ids=[p.stem for p in SHIPPED] + ["hijack", "perfect"])
 def test_a_run_leaves_no_cyclic_garbage(raw):
     # the collector is paused during a run, so a run must free everything it made by reference counts alone
     topo = tp.load_topology(raw)  # loading leaves a cycle or two of its own: a recursive check's closure
@@ -113,7 +121,10 @@ def test_a_run_leaves_no_cyclic_garbage(raw):
     gc.collect()
     gc.set_debug(debug | gc.DEBUG_SAVEALL)
     try:
-        sim = engine.Simulation(topo, 0, {"blocks": 4}, topo.attack).run()
+        attack = tp.read_attack(topo.attack, topo)
+        if attack is not None and attack.kind == "perfect" and attack.end is not None:
+            attack = dataclasses.replace(attack, onpath=0.5)  # heal's post-lift veto, which no scenario sets
+        sim = engine.Simulation(topo, 0, {"blocks": 4}, attack).run()
         assert len(sim.mined) == 4
         del sim
         gc.collect()
@@ -277,7 +288,7 @@ def _held_inv(sim, src, dst, msg):
 
 def _run_state(cls, topo, seed, inject=None):
     """The end state of a run; `inject` is (when, fn) to call fn(sim) at `when`, its pushes recorded."""
-    sim = cls(topo, seed, attack=topo.attack)
+    sim = cls(topo, seed, attack=tp.read_attack(topo.attack, topo))
     pushed = []
     if inject is not None:
         when, fn = inject
@@ -462,7 +473,7 @@ def test_fabric_link_is_instant_and_unseen_by_the_attacker():
     assert sim.nodes["D"].peers["E"].delay == 0.0
     # a real coalition on the route of the red fabric link I (AS5) -> F (AS6): the send path spares it
     sim = engine.Simulation(tp.load_topology(paperlike()), seed=0,
-                            attack={"kind": "delay", "target": [], "params": {"coalition": [3, 7]}})
+                            attack=tp.Attack("coalition", (), coalition=frozenset({3, 7})))
     sim._install_attack()
     sim._connect("I", "F", dialed=False)
     sim._connect("A", "H")
@@ -505,7 +516,8 @@ def _per_node_streams(monkeypatch, tx_rate, churn, attack):
 
     monkeypatch.setattr(engine.random, "Random", CountingRandom)
     engine.Simulation(topo, seed=0, overrides={
-        "tx_getdata_rate": tx_rate, "churn": {"enabled": churn, "lifetime_table": [[1.0, 900.0]]}}, attack=attack)
+        "tx_getdata_rate": tx_rate, "churn": {"enabled": churn, "lifetime_table": [[1.0, 900.0]]}},
+        attack=tp.read_attack(attack, topo))
     return (len(made) - 2) / len(topo.nodes)
 
 
@@ -623,7 +635,7 @@ def test_tip_series_from_arrivals_equals_a_recorded_tip_log(data, seed):
     kind = data.draw(st.sampled_from(["gossip", "paperlike", "coalition", "delay", "hijack", "perfect"]))
     raw = data.draw(gossip_worlds() if kind == "gossip" else tx_worlds(kind))
     topo = tp.load_topology(raw)
-    sim = TipRecordingSimulation(topo, seed, attack=topo.attack).run()
+    sim = TipRecordingSimulation(topo, seed, attack=tp.read_attack(topo.attack, topo)).run()
     derived = {nid: metrics.tip_series(n.chain) for nid, n in sim.nodes.items()}
     for nid in sim.nodes:
         assert _last_per_time(derived[nid]) == _last_per_time(sim.recorded[nid]), nid
@@ -699,7 +711,8 @@ def test_hijack_with_an_end_reports_its_outcome_as_of_the_lift(seed):
     raw["params"].update(blocks=8, block_interval_mean=300.0, drain_time=1500.0, convergence_delay=0.0)
     lift = 20 * engine.SWEEP_INTERVAL  # a sweep time, so the cut-off run sweeps there too
     topo = tp.load_topology(raw)
-    cut = metrics.summarize(engine.Simulation(topo, seed, attack=topo.attack, end_time=lift).run()).partition
+    attack = tp.read_attack(topo.attack, topo)
+    cut = metrics.summarize(engine.Simulation(topo, seed, attack=attack, end_time=lift).run()).partition
     raw["attack"]["params"]["end"] = lift
     run = engine.run_scenario(tp.load_topology(raw), seed)
     assert run.partition_attacker.lifted_at == lift
@@ -749,7 +762,8 @@ def test_one_end_of_run_sweep_equals_a_queued_sweep_every_interval(n_as, blocks,
     raw["params"].update(blocks=blocks, block_interval_mean=300.0, drain_time=1500.0, tx_getdata_rate=tx_rate,
                          threshold=threshold, churn={"enabled": churn, "lifetime_table": [[1.0, 900.0]]})
     topo = tp.load_topology(raw)
-    runs = [cls(topo, seed, attack=topo.attack).run() for cls in (engine.Simulation, SweepChainSimulation)]
+    attack = tp.read_attack(topo.attack, topo)
+    runs = [cls(topo, seed, attack=attack).run() for cls in (engine.Simulation, SweepChainSimulation)]
     got, want = ((r.partition_attacker.swept_at, r.partition_attacker.lifted_at, r.partition_attacker.report(),
                   metrics.summarize(r).to_dict()) for r in runs)
     assert got == want
@@ -871,7 +885,7 @@ def test_every_delivery_runs_the_class_handler_once(monkeypatch):
     raw["params"]["blocks"] = 4
     raw["attack"] = {"kind": "delay", "target": [], "params": {"coalition": "US"}}  # rewrites are single entries
     topo = tp.load_topology(raw)
-    want = _DeliveryLog(topo, 0, attack=topo.attack).run().delivered
+    want = _DeliveryLog(topo, 0, attack=tp.read_attack(topo.attack, topo)).run().delivered
     delivered, fan_outs, singles = [], [], []
     deliver, announce, on_inv = engine.Simulation._ev_deliver, engine.Simulation._ev_announce, pr.Node.on_inv
 
@@ -933,7 +947,7 @@ def test_delay_attacker_takes_the_attack_then_the_params():
     topo = tp.load_topology(json.loads((SCENARIOS / "delaynode.scn").read_text()))
 
     def attacker(overrides, attack=topo.attack):
-        sim = engine.Simulation(topo, seed=0, overrides=overrides, attack=attack)
+        sim = engine.Simulation(topo, seed=0, overrides=overrides, attack=tp.read_attack(attack, topo))
         sim._install_attack()
         return sim.delay_attacker
 
@@ -992,3 +1006,13 @@ def test_healing_seeds_fan_out():
     assert sorted(r.seed for r in results) == [0, 1]
     d = results[0].to_dict()
     assert set(d) == {"seed", "onpath", "baseline_cross_fraction", "samples", "final_ratio"}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_run_report_series_is_the_heal_series(seed):
+    # heal is the scenario's partition as a perfect attack with an end, so that run's report carries its series
+    topo = tp.load_topology(synth.two_halves(n_nodes=120, n_as=8))
+    attack = tp.Attack("perfect", tp.read_attack(topo.attack, topo).target, 1800.0, 5400.0)
+    report = metrics.summarize(engine.Simulation(topo, seed, attack=attack, end_time=41401.0).run())
+    healed = engine.run_healing(topo, seed, onpath=0.0)
+    assert report.cross_partition_series == [(-3601.0, healed.baseline), *healed.samples]

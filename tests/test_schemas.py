@@ -74,6 +74,11 @@ def test_generated_scenarios_validate(scenario_schema):
 def test_run_report_validates(report_schema):
     raw = json.loads((ROOT / "scenarios" / "paperlike.scn").read_text())
     reports = [metrics.summarize(engine.run_scenario(tp.load_topology(raw), s)) for s in (0, 1)]
+    # a perfect partition with an end writes a cross_partition_series: heal's run, as in test_engine
+    halves = tp.load_topology(synth.two_halves(n_nodes=120, n_as=8))
+    attack = tp.Attack("perfect", tp.read_attack(halves.attack, halves).target, 1800.0, 5400.0)
+    reports.append(metrics.summarize(engine.Simulation(halves, 0, attack=attack, end_time=41401.0).run()))
+    assert reports[-1].cross_partition_series
     jsonschema.validate(json.loads(metrics.emit(reports)), report_schema)
 
 

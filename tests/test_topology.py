@@ -295,6 +295,9 @@ def test_load_minimal_scenario():
         ({"prefixes": [{"base": "10.1.0.0", "len": True, "origin_as": 1}]}, "prefixes[0].len"),
         # every reader of a delay attack's victim reads one node
         ({"attack": {"kind": "delay", "target": ["n1", "n2"]}}, "attack.target: a delay attack has exactly one victim"),
+        # a heal run's post-lift veto share is set by `--onpath`, never by the scenario
+        ({"attack": {"kind": "partition", "target": ["n1"], "params": {"mode": "perfect", "onpath": 0.5}}},
+         "attack.params.onpath: unknown key"),
     ],
 )
 def test_scenario_validation_errors(mutation, fragment):
@@ -364,9 +367,10 @@ def test_read_attack_settles_what_the_engine_runs():
 
 
 def test_simulation_checks_an_attack_passed_to_it():
-    # an API caller's attack dict is read like a scenario's, not found wanting mid-run
+    # an API caller's attack dict is refused at construction, not found wanting mid-run; the
+    # same dict's load-time rejection is a case of test_scenario_validation_errors
     topo = tp.load_topology(minimal_scenario())
-    with pytest.raises(tp.ScenarioError, match="attack.params.attacker_as"):
+    with pytest.raises(TypeError, match="read_attack"):
         engine.Simulation(topo, seed=0, attack={"kind": "partition", "target": ["n1"]})
 
 
@@ -422,7 +426,7 @@ def test_mutated_shipped_scenarios_are_rejected_or_run(data):
         topo = tp.load_topology(raw)
     except tp.ScenarioError:
         return
-    metrics.summarize(engine.Simulation(topo, 0, attack=topo.attack, end_time=600.0).run())
+    metrics.summarize(engine.Simulation(topo, 0, attack=tp.read_attack(topo.attack, topo), end_time=600.0).run())
 
 
 def test_hash_share_sum_error_message():
